@@ -52,8 +52,12 @@ std::vector<SnoopyClient::Response> SnoopyClient::FetchResponses() {
     if (blob.size() < 4) {
       throw std::runtime_error("malformed mailbox entry");
     }
+    // The mailbox is host-held, so the LB id is unauthenticated until Open below.
     uint32_t lb = 0;
     std::memcpy(&lb, blob.data(), 4);
+    if (lb >= deployment_.config().num_load_balancers) {
+      throw std::runtime_error("malformed mailbox entry");
+    }
     std::vector<uint8_t> plain;
     if (!deployment_.client_link(client_id_, lb)
              .b_to_a()

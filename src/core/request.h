@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/analysis/batch_bound.h"
+#include "src/net/fault.h"
 #include "src/obl/bin_placement.h"
 #include "src/obl/hash_table.h"
 #include "src/obl/slab.h"
@@ -94,6 +95,7 @@ class RequestBatch {
   const ByteSlab& slab() const { return slab_; }
 
   // Flat serialization for the encrypted channels: value_size(8) | count(8) | records.
+  // Deserialize throws IntegrityError unless the input is exactly that long.
   std::vector<uint8_t> Serialize() const;
   static RequestBatch Deserialize(std::span<const uint8_t> bytes);
 
@@ -114,13 +116,28 @@ inline std::vector<uint8_t> RequestBatch::Serialize() const {
   return out;
 }
 
+// True when a `count(8) | ...` frame of `count` records of `record_bytes` each,
+// behind a 16-byte header, is exactly `size` bytes long. Both length fields come
+// from the wire, so the product is overflow-checked.
+inline bool FramedRecordsFit(size_t size, uint64_t count, uint64_t record_bytes) {
+  uint64_t body = 0;
+  return size >= 16 && !__builtin_mul_overflow(count, record_bytes, &body) &&
+         body == size - 16;
+}
+
 inline RequestBatch RequestBatch::Deserialize(std::span<const uint8_t> bytes) {
   uint64_t vs = 0;
   uint64_t count = 0;
-  std::memcpy(&vs, bytes.data(), 8);
-  std::memcpy(&count, bytes.data() + 8, 8);
-  RequestBatch batch(static_cast<size_t>(vs));
-  ByteSlab slab(static_cast<size_t>(count), kHeaderBytes + static_cast<size_t>(vs));
+  if (bytes.size() >= 16) {
+    std::memcpy(&vs, bytes.data(), 8);
+    std::memcpy(&count, bytes.data() + 8, 8);
+  }
+  uint64_t record_bytes = 0;
+  if (__builtin_add_overflow(vs, uint64_t{kHeaderBytes}, &record_bytes) ||
+      !FramedRecordsFit(bytes.size(), count, record_bytes)) {
+    throw IntegrityError("request batch");
+  }
+  ByteSlab slab(static_cast<size_t>(count), static_cast<size_t>(record_bytes));
   if (count > 0) {
     std::memcpy(slab.data(), bytes.data() + 16, slab.size() * slab.record_bytes());
   }

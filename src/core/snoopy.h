@@ -203,6 +203,11 @@ class Snoopy {
   SecureLink& client_link(uint64_t client_id, uint32_t lb);
   // Drains the client's mailbox: [lb id (4 bytes) | sealed response] blobs.
   std::vector<std::vector<uint8_t>> TakeMailbox(uint64_t client_id);
+  // The mailbox lives on the untrusted host; like host_replace_snapshot, this hook
+  // lets the test harness play a host that rewrites entries.
+  std::vector<std::vector<uint8_t>>& host_mailbox(uint64_t client_id) {
+    return clients_.at(client_id).mailbox;
+  }
 
   // --- Permanent loss, striped redundancy, and background repair ------------------
   // A partition is kHealthy, or kRepairing after its machine was permanently lost

@@ -229,11 +229,15 @@ UnsealStatus SubOram::RestoreState(SealedStore& store, uint64_t counter_id,
   if (status != UnsealStatus::kOk) {
     return status;
   }
+  // Same frame as RequestBatch, with 8-byte keys in place of request headers.
   uint64_t vs = 0;
   uint64_t count = 0;
-  std::memcpy(&vs, payload.data(), 8);
-  std::memcpy(&count, payload.data() + 8, 8);
-  if (vs != config_.value_size) {
+  if (payload.size() >= 16) {
+    std::memcpy(&vs, payload.data(), 8);
+    std::memcpy(&count, payload.data() + 8, 8);
+  }
+  if (vs != config_.value_size ||
+      !FramedRecordsFit(payload.size(), count, 8 + config_.value_size)) {
     return UnsealStatus::kCorrupt;
   }
   ByteSlab slab(static_cast<size_t>(count), 8 + config_.value_size);

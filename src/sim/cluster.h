@@ -56,7 +56,7 @@ struct ClusterConfig {
   double lb_mttr_s = 0;
   double suboram_mttf_s = 0;
   double suboram_mttr_s = 0;
-  // Permanent machine loss + striped repair (DESIGN.md, "Failure model and repair").
+  // Permanent machine loss + striped repair (DESIGN.md, "Failure model").
   // SubORAMs are permanently lost with exponential inter-loss times (mean = MTPL,
   // 0 disables). A lost partition serves nothing for `repair_epochs` epochs -- the
   // public, load-independent repair schedule -- while its 1/S share of each epoch's

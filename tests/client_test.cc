@@ -96,5 +96,21 @@ TEST(SnoopyClient, UnregisteredSubmissionsStillReturnPlainly) {
   ASSERT_EQ(alice.FetchResponses().size(), 1u);
 }
 
+TEST(SnoopyClient, OutOfRangeMailboxLbIdIsRejected) {
+  // The LB id prefix of a mailbox entry is read before authentication; a host that
+  // rewrites it past the last load balancer must get an error, not an
+  // out-of-bounds link lookup.
+  auto store = MakeDeployment(2, 2);
+  SnoopyClient alice(*store, /*client_id=*/100, /*seed=*/1);
+  for (const uint32_t bad_lb : {2u, 0xffffffffu}) {
+    alice.Read(7);
+    store->RunEpoch();
+    std::vector<std::vector<uint8_t>>& mailbox = store->host_mailbox(100);
+    ASSERT_EQ(mailbox.size(), 1u);
+    std::memcpy(mailbox[0].data(), &bad_lb, 4);
+    EXPECT_THROW(alice.FetchResponses(), std::runtime_error) << "lb id " << bad_lb;
+  }
+}
+
 }  // namespace
 }  // namespace snoopy

@@ -42,6 +42,43 @@ TEST(RequestBatch, EmptySerializeRoundTrip) {
   EXPECT_EQ(copy.value_size(), 160u);
 }
 
+TEST(RequestBatch, DeserializeRejectsMalformedLengths) {
+  RequestBatch batch(24);
+  RequestHeader h;
+  batch.Append(h, std::vector<uint8_t>(24, 1));
+  batch.Append(h, std::vector<uint8_t>(24, 2));
+  const std::vector<uint8_t> wire = batch.Serialize();
+
+  // Shorter than the 16-byte header, and truncated inside the records.
+  EXPECT_THROW(RequestBatch::Deserialize(std::span<const uint8_t>(wire.data(), 15)),
+               IntegrityError);
+  EXPECT_THROW(
+      RequestBatch::Deserialize(std::span<const uint8_t>(wire.data(), wire.size() - 1)),
+      IntegrityError);
+  // Trailing bytes past the last record.
+  std::vector<uint8_t> trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW(RequestBatch::Deserialize(trailing), IntegrityError);
+  // A count whose product with the record size wraps to exactly the real body size:
+  // record_bytes = 2^tz * odd, so (2 + 2^(64 - tz)) * record_bytes == 2 * record_bytes
+  // mod 2^64. Only the overflow check tells it from the real count of 2.
+  std::vector<uint8_t> overflow = wire;
+  const uint64_t record_bytes = RequestBatch::kHeaderBytes + 24;
+  const int tz = __builtin_ctzll(record_bytes);
+  ASSERT_GT(tz, 0);
+  const uint64_t wrapping = 2 + (uint64_t{1} << (64 - tz));
+  ASSERT_EQ(wrapping * record_bytes, 2 * record_bytes);
+  std::memcpy(overflow.data() + 8, &wrapping, 8);
+  EXPECT_THROW(RequestBatch::Deserialize(overflow), IntegrityError);
+  // A value size that wraps the record size.
+  std::vector<uint8_t> huge_value = wire;
+  const uint64_t vs = ~uint64_t{0} - 1;
+  std::memcpy(huge_value.data(), &vs, 8);
+  EXPECT_THROW(RequestBatch::Deserialize(huge_value), IntegrityError);
+  // The well-formed input still round-trips.
+  EXPECT_EQ(RequestBatch::Deserialize(wire).size(), 2u);
+}
+
 TEST(RequestBatch, ValueTruncationOnAppend) {
   RequestBatch batch(8);
   RequestHeader h;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/crypto/rng.h"
+#include "src/enclave/rollback.h"
 #include "src/enclave/trace.h"
 
 namespace snoopy {
@@ -282,6 +283,43 @@ TEST(SubOram, EmptyBatchIsFine) {
   SubOram so = MakeStore(10);
   RequestBatch out = so.ProcessBatch(RequestBatch(kValueSize));
   EXPECT_EQ(out.size(), 0u);
+}
+
+TEST(SubOram, RestoreStateRejectsMalformedLengths) {
+  SubOram so = MakeStore(10);
+  MonotonicCounterService counters;
+  Aead::Key key{};
+  key[0] = 1;
+  SealedStore sealed(key, &counters);
+  const uint64_t ctr = counters.Create();
+  std::vector<uint8_t> payload;
+  ASSERT_EQ(sealed.Unseal(ctr, so.SealState(sealed, ctr), &payload), UnsealStatus::kOk);
+  const size_t body = payload.size() - 16;
+  ASSERT_EQ(body, 10u * (8 + kValueSize));
+
+  std::vector<std::vector<uint8_t>> malformed;
+  malformed.emplace_back(payload.begin(), payload.begin() + 15);   // short header
+  malformed.emplace_back(payload.begin(), payload.end() - 1);      // truncated
+  malformed.push_back(payload);
+  malformed.back().push_back(0);                                   // trailing byte
+  // A count whose product with the record size wraps to the real body size.
+  const uint64_t record_bytes = 8 + kValueSize;
+  const int tz = __builtin_ctzll(record_bytes);
+  ASSERT_GT(tz, 0);
+  const uint64_t wrapping = 10 + (uint64_t{1} << (64 - tz));
+  ASSERT_EQ(wrapping * record_bytes, body);
+  malformed.push_back(payload);
+  std::memcpy(malformed.back().data() + 8, &wrapping, 8);
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_EQ(so.RestoreState(sealed, ctr, sealed.Seal(ctr, malformed[i])),
+              UnsealStatus::kCorrupt)
+        << "case " << i;
+  }
+  // Rejected restores leave the partition untouched; the real payload still loads.
+  ASSERT_EQ(so.RestoreState(sealed, ctr, sealed.Seal(ctr, payload)), UnsealStatus::kOk);
+  std::vector<uint8_t> v;
+  ASSERT_TRUE(so.DebugRead(3, &v));
+  EXPECT_EQ(v, ValueFor(3));
 }
 
 }  // namespace

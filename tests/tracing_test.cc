@@ -230,14 +230,12 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   MetricsRegistry registry;
   std::vector<WorkerPhaseStats> stats(2);
   stats[0].tasks = 3;
-  stats[0].steals = 1;
   stats[0].busy_ns = 200'000'000;  // 0.2 s
   stats[0].idle_ns = 100'000'000;  // 0.1 s
   stats[0].max_queue_depth = 4;
   stats[0].start_s = 10.0;
   stats[0].finish_s = 10.4;
   stats[1].tasks = 2;
-  stats[1].steals = 0;
   stats[1].busy_ns = 300'000'000;
   stats[1].idle_ns = 0;
   stats[1].max_queue_depth = 3;
@@ -248,7 +246,6 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   const MetricLabels labels = {{"phase", "suboram_execute"}};
   EXPECT_EQ(registry.GetCounter("snoopy_pool_phases_total", labels).value(), 1u);
   EXPECT_EQ(registry.GetCounter("snoopy_pool_tasks_total", labels).value(), 5u);
-  EXPECT_EQ(registry.GetCounter("snoopy_pool_steals_total", labels).value(), 1u);
   EXPECT_NEAR(registry.GetGauge("snoopy_pool_busy_seconds_total", labels).value(), 0.5,
               1e-9);
   EXPECT_NEAR(registry.GetGauge("snoopy_pool_idle_seconds_total", labels).value(), 0.1,
@@ -387,6 +384,24 @@ TEST(TracingDeterminism, SpanSequenceIsThreadCountInvariant) {
     const TracedRun run = RunTracedWorkload(threads, true, /*seed=*/77);
     EXPECT_EQ(SpanSkeleton(run.spans), base_skeleton) << "epoch_threads=" << threads;
     EXPECT_EQ(run.responses, base.responses) << "epoch_threads=" << threads;
+    // The phases meet at a barrier: every epoch's lb_prepare span closes before its
+    // suboram_execute span opens.
+    std::map<uint64_t, double> prepare_end;
+    size_t executes = 0;
+    for (const SpanEvent& e : run.spans) {
+      if (std::strcmp(e.cat, "phase") != 0) {
+        continue;
+      }
+      if (std::strcmp(e.name, "lb_prepare") == 0) {
+        prepare_end[e.task_id] = e.end_s;
+      } else if (std::strcmp(e.name, "suboram_execute") == 0) {
+        ASSERT_EQ(prepare_end.count(e.task_id), 1u) << "epoch " << e.task_id;
+        EXPECT_LE(prepare_end[e.task_id], e.start_s)
+            << "epoch_threads=" << threads << " epoch " << e.task_id;
+        ++executes;
+      }
+    }
+    EXPECT_EQ(executes, 3u) << "epoch_threads=" << threads;
   }
 }
 

@@ -2,7 +2,7 @@
 # One-command local CI: tier-1 tests + constant-time lint + sanitizer pass.
 #
 #   tools/ci.sh            # everything
-#   tools/ci.sh --fast     # skip the sanitizer builds (lint + default-build tests)
+#   tools/ci.sh --fast     # skip the perfbench smoke and the sanitizer builds
 #
 # Builds out-of-tree under build/ (default config), build-asan/ (ASan+UBSan), and
 # build-tsan/ (TSan, threading-sensitive tests only), so a developer's existing build
@@ -179,9 +179,25 @@ else:
 PYEOF
 
 if [[ "${FAST}" == "1" ]]; then
-  echo "== --fast: skipping sanitizer builds =="
+  echo "== --fast: skipping perfbench smoke and sanitizer builds =="
   exit 0
 fi
+
+echo "== perfbench correctness smoke (short run of every benchmark workload) =="
+# The benchmark driver checks every response against its oracle (Appendix C order
+# for SubmitWithLb traffic, exactly-once delivery for attested client sessions) and
+# exits non-zero on a wrong, missing or duplicate response. A few seconds per
+# workload exercise the real deployment at epoch_threads=2 end to end.
+for workload in sort_bound scan_bound durable_clients; do
+  log="build/perfbench_smoke_${workload}.log"
+  if ! python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 3 \
+      --trace 0 > "${log}"; then
+    cat "${log}"
+    echo "ci.sh: perfbench smoke failed on ${workload}"
+    exit 1
+  fi
+  echo "perfbench smoke ok: ${workload}"
+done
 
 echo "== ASan/UBSan build + full test suite =="
 cmake -S . -B build-asan -DSNOOPY_SANITIZE=ON >/dev/null

@@ -8,7 +8,7 @@ Tracer::WriteChromeTrace): complete events (ph == "X") with categories
   phase  pipeline phases inside an epoch (lb_prepare, suboram_execute,
          response_match, deliver, seal, repair)
   task   one span per RunIndexedPhase task (per-LB / per-subORAM work item)
-  pool   per-worker summaries (name == phase, args tasks/steals/busy_ns/idle_ns/
+  pool   per-worker summaries (name == phase, args tasks/busy_ns/idle_ns/
          cpu_busy_ns) and one barrier span per pooled phase
   step   sub-phase steps inside a task (lb_assign, suboram_scan, merge tiles...).
          "sort" steps are the ObliviousSortSlab entry point: args carry the
@@ -31,6 +31,11 @@ For every epoch the report computes:
     (the chain the barrier actually waited on) plus the phase's serial
     prologue/epilogue, and the epoch's serial remainder (deliver, seal,
     orchestration gaps) is attributed separately;
+  * per-step self time: each step span's duration minus the time covered by
+    the step spans nested in it (a sort inside suboram_oht_build counts once,
+    under "sort"), summed per step name, and its share of the total epoch wall.
+    Concurrent tasks each contribute their own steps, so at more than one
+    worker the shares can sum past 1;
   * an Amdahl decomposition: serial seconds = epoch wall minus pooled-phase
     wall, parallel work = summed worker busy seconds, measured serial fraction
     f = serial / wall, and projected speedup wall / (serial + work / W).
@@ -46,6 +51,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import sys
@@ -82,7 +88,6 @@ class PhaseStats:
         self.idle_us = 0.0
         self.cpu_busy_us = 0.0
         self.tasks = 0
-        self.steals = 0
         self.workers = 0
         self.longest_task_us = 0.0
         self.task_durs_us = []
@@ -134,6 +139,57 @@ def sort_stats(events):
     return dict(rows)
 
 
+def covered_us(intervals):
+    """Length of the union of (start, end) intervals."""
+    total = 0.0
+    reach = -math.inf
+    for lo, hi in sorted(intervals):
+        if hi > reach:
+            total += hi - max(lo, reach)
+            reach = hi
+    return total
+
+
+def step_stats(events, epochs):
+    """Per-step-name count, wall and self time over the step spans inside an
+    epoch. A span is recorded when it closes, so a task's ring holds its steps
+    (children before parents, sort tiles interleaved) right before the task
+    span itself: cutting the stream at every task, phase and epoch span yields
+    one group per task, and nesting is resolved inside a group, where steps of
+    concurrent tasks cannot mix. A step's self time is its duration minus the
+    union of the earlier steps of its group that lie inside it (its
+    descendants)."""
+    windows = sorted((e["ts"], e["ts"] + e["dur"]) for e in epochs)
+    starts = [lo for lo, _ in windows]
+    rows = defaultdict(lambda: {"count": 0, "wall_us": 0.0, "self_us": 0.0})
+    group = []
+
+    def in_epoch(ts):
+        i = bisect.bisect_right(starts, ts) - 1
+        return i >= 0 and ts <= windows[i][1]
+
+    def flush():
+        for i, step in enumerate(group):
+            lo, hi = step["ts"], step["ts"] + step["dur"]
+            if not in_epoch(lo):
+                continue
+            nested = [(c["ts"], c["ts"] + c["dur"]) for c in group[:i]
+                      if lo <= c["ts"] and c["ts"] + c["dur"] <= hi]
+            row = rows[step["name"]]
+            row["count"] += 1
+            row["wall_us"] += step["dur"]
+            row["self_us"] += max(0.0, step["dur"] - covered_us(nested))
+        group.clear()
+
+    for e in events:
+        if e.get("cat") == "step":
+            group.append(e)
+        elif e.get("cat") in ("task", "phase", "epoch"):
+            flush()
+    flush()
+    return dict(rows)
+
+
 def analyze(events):
     epochs = sorted((e for e in events if e.get("cat") == "epoch"),
                     key=lambda e: e["ts"])
@@ -165,7 +221,6 @@ def analyze(events):
                 st.idle_us += args.get("idle_ns", 0) / 1e3
                 st.cpu_busy_us += args.get("cpu_busy_ns", 0) / 1e3
                 st.tasks += args.get("tasks", 0)
-                st.steals += args.get("steals", 0)
                 workers += 1
             tasks = [t for t in spans_within(events, "task", plo, phi)
                      if t["name"] == ph["name"]]
@@ -194,6 +249,7 @@ def analyze(events):
         "epochs": len(epochs),
         "phases": phases,
         "sorts": sort_stats(events),
+        "steps": step_stats(events, epochs),
         "epoch_wall_s": total_epoch_us / 1e6,
         "serial_s": total_serial_us / 1e6,
         "parallel_work_s": total_work_us / 1e6,
@@ -220,7 +276,7 @@ def render(report, worker_projections):
     lines.append("")
     lines.append(f"{'phase':<18} {'wall ms':>9} {'busy ms':>9} {'cpu ms':>9} "
                  f"{'idle ms':>9} {'eff':>5} {'infl':>5} {'skew':>5} "
-                 f"{'stall ms':>9} {'crit ms':>9} {'tasks':>6} {'steals':>6}")
+                 f"{'stall ms':>9} {'crit ms':>9} {'tasks':>6}")
     order = sorted(report["phases"].values(), key=lambda p: -p.wall_us)
     for p in order:
         lines.append(
@@ -228,7 +284,7 @@ def render(report, worker_projections):
             f"{p.cpu_busy_us / 1e3:>9.2f} {p.idle_us / 1e3:>9.2f} "
             f"{p.efficiency:>5.2f} {p.work_inflation:>5.2f} {p.skew:>5.2f} "
             f"{p.stall_us / 1e3:>9.2f} {p.critical_us / 1e3:>9.2f} "
-            f"{p.tasks:>6d} {p.steals:>6d}")
+            f"{p.tasks:>6d}")
     lines.append("")
     for p in order:
         if p.work_inflation > WORK_INFLATION_FLAG:
@@ -243,6 +299,16 @@ def render(report, worker_projections):
             lines.append(
                 f"  {strategy:<8} {geometry:<14} x{row['count']:<5d} "
                 f"{row['records']:>10d} records {row['wall_us'] / 1e3:>9.2f} ms")
+        lines.append("")
+    if report["steps"]:
+        wall_us = report["epoch_wall_s"] * 1e6
+        lines.append(f"{'step':<22} {'count':>6} {'wall ms':>9} {'self ms':>9} "
+                     f"{'share':>6}")
+        for name, row in sorted(report["steps"].items(),
+                                key=lambda kv: -kv[1]["self_us"]):
+            share = row["self_us"] / wall_us if wall_us > 0 else 0.0
+            lines.append(f"{name:<22} {row['count']:>6d} {row['wall_us'] / 1e3:>9.2f} "
+                         f"{row['self_us'] / 1e3:>9.2f} {share:>6.3f}")
         lines.append("")
     crit_total = sum(p.critical_us for p in order if p.name in POOL_PHASES)
     lines.append("critical path (pooled phases): "
@@ -276,6 +342,16 @@ def to_json(report, worker_projections):
             }
             for (strategy, geometry), row in sorted(report["sorts"].items())
         ],
+        "steps": {
+            name: {
+                "count": row["count"],
+                "wall_s": row["wall_us"] / 1e6,
+                "self_s": row["self_us"] / 1e6,
+                "share_of_epoch_wall": (row["self_us"] / 1e6 / report["epoch_wall_s"]
+                                        if report["epoch_wall_s"] > 0 else 0.0),
+            }
+            for name, row in report["steps"].items()
+        },
         "phases": {
             p.name: {
                 "wall_s": p.wall_us / 1e6,
@@ -288,7 +364,6 @@ def to_json(report, worker_projections):
                 "barrier_stall_s": p.stall_us / 1e6,
                 "critical_path_s": p.critical_us / 1e6,
                 "tasks": p.tasks,
-                "steals": p.steals,
             }
             for p in report["phases"].values()
         },
@@ -305,9 +380,12 @@ def golden_trace():
     of CPU for its 40 ms wall-busy span (descheduled mid-task), so the phase's
     work inflation is 60/45 = 1.333x and must trip the >1.15x flag; lb_prepare's
     CPU matches wall and must stay unflagged. The lb_prepare task carries one
-    bitonic "sort" step (tile 157) and the execute task one bucket sort (16x1024
-    butterfly), so the sort rows must come back labeled with strategy and
-    geometry."""
+    bitonic "sort" step (tile 157) nested in an 8 ms lb_bin_placement step and
+    the execute task one bucket sort (16x1024 butterfly), so the sort rows must
+    come back labeled with strategy and geometry, and lb_bin_placement's self
+    time is the 2 ms its sort leaves, even with a sort tile recorded between
+    the two. Steps precede their task, as in a real stream (spans are recorded
+    when they close)."""
     ev = []
 
     def x(cat, name, ts, dur, args=None):
@@ -316,23 +394,25 @@ def golden_trace():
 
     x("epoch", "epoch", 0, 100_000, {"pending": 4})
     x("phase", "lb_prepare", 0, 20_000)
-    x("task", "lb_prepare", 0, 10_000)
     x("step", "sort", 2_000, 6_000,
       {"strategy": 0, "records": 4096, "block_records": 157})
+    x("tile", "bitonic_tile", 8_500, 300)  # detail-2 tile between steps
+    x("step", "lb_bin_placement", 1_000, 8_000)
+    x("task", "lb_prepare", 0, 10_000)
     x("task", "lb_prepare", 10_000, 10_000)
     x("pool", "lb_prepare", 0, 20_000,
-      {"tasks": 2, "steals": 0, "busy_ns": 20_000_000, "idle_ns": 0,
+      {"tasks": 2, "busy_ns": 20_000_000, "idle_ns": 0,
        "cpu_busy_ns": 20_000_000})
     x("phase", "suboram_execute", 20_000, 40_000)
-    x("task", "suboram_execute", 20_000, 40_000)  # worker 0: the barrier chain
     x("step", "sort", 25_000, 10_000,
       {"strategy": 1, "records": 8192, "buckets": 16, "capacity": 1024})
+    x("task", "suboram_execute", 20_000, 40_000)  # worker 0: the barrier chain
     x("task", "suboram_execute", 20_000, 20_000)  # worker 1: parks after 20 ms
     x("pool", "suboram_execute", 20_000, 40_000,
-      {"tasks": 1, "steals": 0, "busy_ns": 40_000_000, "idle_ns": 0,
+      {"tasks": 1, "busy_ns": 40_000_000, "idle_ns": 0,
        "cpu_busy_ns": 25_000_000})
     x("pool", "suboram_execute", 20_000, 40_000,
-      {"tasks": 1, "steals": 0, "busy_ns": 20_000_000, "idle_ns": 20_000_000,
+      {"tasks": 1, "busy_ns": 20_000_000, "idle_ns": 20_000_000,
        "cpu_busy_ns": 20_000_000})
     x("phase", "deliver", 60_000, 20_000)
     x("phase", "seal", 80_000, 20_000)
@@ -370,6 +450,13 @@ def self_check():
     checks.append(("bucket_sort_wall_s",
                    round(report["sorts"][("bucket", "16x1024")]["wall_us"] / 1e6, 6),
                    0.01))
+    # Step self time excludes nested steps: lb_bin_placement keeps 2 of its
+    # 8 ms (2% of the 100 ms epoch); the two sorts keep all 16 ms (16%).
+    checks.append(("step_self_s_and_share", {
+        name: (round(row["self_us"] / 1e6, 6),
+               round(row["self_us"] / 1e6 / report["epoch_wall_s"], 6))
+        for name, row in report["steps"].items()},
+        {"lb_bin_placement": (0.002, 0.02), "sort": (0.016, 0.16)}))
     # The long task runs right up to the barrier, so there is no post-barrier
     # stall and the phase's critical path is that 40 ms task.
     checks.append(("execute_stall_s", round(exe.stall_us / 1e6, 6), 0.0))
