@@ -312,6 +312,60 @@ double MeasureNsPerOp(Fn&& fn) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
 }
 
+// The subORAM scan's per-bucket compare-and-set at the paper's geometry (160-byte
+// values behind 48-byte request headers, z = 64 slots, one matching granted write),
+// reported as ns per slot: the fused bucket kernel against the per-slot sequence it
+// replaced (stage the object value, then three dispatched conditional copies). Both
+// get the same precomputed masks, so the comparison isolates the value movement.
+void EmitBucketScanPoints(BenchJsonEmitter& emitter) {
+  constexpr size_t kValue = 160;
+  constexpr size_t kStride = 48 + kValue;
+  constexpr size_t kSlots = 64;
+  std::vector<ScanSlotMasks> masks(kSlots, ScanSlotMasks{0, 0, 0});
+  masks[kSlots / 3] = ScanSlotMasks{~uint64_t{0}, ~uint64_t{0}, 0};
+  std::vector<uint8_t> bucket(kSlots * kStride, 3);
+  std::vector<uint8_t> obj(kValue, 4);
+  std::vector<uint8_t> old_value(kValue);
+  const std::vector<uint8_t> zeros(kValue, 0);
+  uint8_t* slots = bucket.data() + 48;
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetKernelBackend(backend);
+    struct OpPoint {
+      const char* op;
+      double ns_per_slot;
+    };
+    const OpPoint ops[2] = {
+        {"cond_scan_bucket", MeasureNsPerOp([&] {
+                               KernelCondScanBucket(masks.data(), obj.data(), slots, kSlots,
+                                                    kStride, kValue);
+                               benchmark::DoNotOptimize(obj.data());
+                             }) / kSlots},
+        {"scan_slot_three_copy", MeasureNsPerOp([&] {
+                                   for (size_t s = 0; s < kSlots; ++s) {
+                                     uint8_t* req = slots + s * kStride;
+                                     std::memcpy(old_value.data(), obj.data(), kValue);
+                                     KernelCondCopyBytesMask(masks[s].write, obj.data(), req,
+                                                             kValue);
+                                     KernelCondCopyBytesMask(masks[s].respond, req,
+                                                             old_value.data(), kValue);
+                                     KernelCondCopyBytesMask(masks[s].deny, req, zeros.data(),
+                                                             kValue);
+                                   }
+                                   benchmark::DoNotOptimize(obj.data());
+                                 }) / kSlots},
+    };
+    for (const OpPoint& op : ops) {
+      emitter.AddPoint("primitive_kernels")
+          .Set("backend", KernelBackendName(backend))
+          .Set("op", op.op)
+          .Set("record_bytes", static_cast<double>(kValue))
+          .Set("misalign", 0.0)
+          .Set("slots_per_bucket", static_cast<double>(kSlots))
+          .Set("ns_per_slot", op.ns_per_slot);
+    }
+  }
+}
+
 void EmitKernelSeries() {
   BenchJsonEmitter emitter("micro_primitives");
   const KernelBackend prev = ActiveKernelBackend();
@@ -364,6 +418,7 @@ void EmitKernelSeries() {
       }
     }
   }
+  EmitBucketScanPoints(emitter);
   SetKernelBackend(prev);
   const std::string path = emitter.WriteFile(".");
   if (!path.empty()) {

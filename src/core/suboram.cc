@@ -1,9 +1,10 @@
 #include "src/core/suboram.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "src/enclave/trace.h"
 #include "src/obl/bitonic_sort.h"
@@ -90,28 +91,35 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   build_trace.End();
 
   // Step 2 (Fig. 7): one linear scan over every stored object. For each object, scan
-  // its two candidate buckets in full; for every slot apply the oblivious
-  // compare-and-set pair so that neither the match nor the request type is revealed.
+  // its two candidate buckets in full; every slot gets the oblivious compare-and-set
+  // so that neither the match nor the request type is revealed. Each slot's header is
+  // read once into three secret masks, then one bucket kernel applies all of them with
+  // the object's value carried in registers (KernelCondScanBucket, src/obl/kernels.h).
   //
-  // With scan_threads > 1 (Figure 13b) the object range is split across threads.
-  // Distinct objects can share a hash bucket, and the oblivious compare-and-set
-  // rewrites every scanned slot unconditionally, so bucket access is serialized with
-  // per-bucket locks. Lock *indices* derive from object keys, which are public
-  // identities, so locking adds no leakage beyond the bucket trace itself.
+  // With scan_threads > 1 (Figure 13b) the object range is split into chunks that run
+  // on the shared WorkPool. Distinct objects can share a hash bucket, and the
+  // oblivious compare-and-set rewrites every scanned slot unconditionally, so when
+  // chunks run concurrently bucket access is serialized with per-bucket locks. Lock
+  // *indices* derive from object keys, which are public identities, so locking adds
+  // no leakage beyond the bucket trace itself.
   const size_t stride = table.record_bytes();
-  const std::vector<uint8_t> zeros(value_size, 0);
   const size_t n_objects = store_.size();
   const int threads =
       config_.scan_threads > 1 && n_objects >= 1024 ? config_.scan_threads : 1;
-  std::vector<std::mutex> tier1_locks(threads > 1 ? table.params().bins1 : 0);
+  // Pool width: clamped to the calling pool task's budget (no-op outside the pool).
+  // It decides only how many chunks run at once; chunk boundaries and the trace
+  // marker below depend on `threads` alone.
+  const int width = PoolClampedThreads(threads);
+  const size_t max_slots = std::max(table.params().z1, table.params().z2);
+  std::vector<std::mutex> tier1_locks(width > 1 ? table.params().bins1 : 0);
   std::vector<std::mutex> tier2_locks(
-      threads > 1 && table.params().bins2 > 0 ? table.params().bins2 : 0);
+      width > 1 && table.params().bins2 > 0 ? table.params().bins2 : 0);
 
   // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
-  // ct-public: i off begin end stride value_size bucket threads
+  // ct-public: i k slots begin end stride value_size max_slots width
   // ct-public: obj_key table tier1_locks tier2_locks
   auto scan_range = [&](size_t begin, size_t end) {
-    std::vector<uint8_t> old_value(value_size);
+    std::vector<ScanSlotMasks> masks(max_slots);
     for (size_t i = begin; i < end; ++i) {
       TraceRecord(TraceOp::kRead, i);
       uint8_t* obj = store_.Record(i);
@@ -120,28 +128,28 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
       uint8_t* obj_value = obj + 8;
 
       auto apply = [&](std::span<uint8_t> bucket) {
-        for (size_t off = 0; off + stride <= bucket.size(); off += stride) {
-          auto* req = reinterpret_cast<RequestHeader*>(bucket.data() + off);
-          uint8_t* req_value = bucket.data() + off + RequestBatch::kHeaderBytes;
+        const size_t slots = bucket.size() / stride;
+        if (slots == 0) {
+          return;  // a one-tier table hands back an empty second bucket
+        }
+        for (size_t k = 0; k < slots; ++k) {
+          const auto* req = reinterpret_cast<const RequestHeader*>(bucket.data() + k * stride);
           // Request contents (key, op, dummy flag, access decision) are secret; the
           // object key being scanned is public (the scan visits all of them).
           const SecretBool match = (SecretU64(req->key) == obj_key) &
                                    !SecretBool::FromWord(req->dummy);
           const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
           const SecretBool granted = SecretBool::FromWord(req->granted);
-          // old <- object value (staged so the write below can both update the object
-          // and leave the pre-state for the response). The three conditional moves go
-          // through the SIMD kernel layer; each derives its mask once per slot.
-          std::memcpy(old_value.data(), obj_value, value_size);
           // Write path: object <- request payload (if a granted write matches).
-          KernelCondCopyBytes(match & is_write & granted, obj_value, req_value, value_size);
           // Response path: request slot <- pre-state (for reads and writes alike).
-          KernelCondCopyBytes(match, req_value, old_value.data(), value_size);
-          // Access control (section D): a denied read returns null rather than data.
-          KernelCondCopyBytes(match & !granted, req_value, zeros.data(), value_size);
+          // Access control (section D): a denied request's response is null.
+          masks[k] = ScanSlotMasks{(match & is_write & granted).mask(), match.mask(),
+                                   (match & !granted).mask()};
         }
+        KernelCondScanBucket(masks.data(), obj_value, bucket.data() + RequestBatch::kHeaderBytes,
+                             slots, stride, value_size);
       };
-      if (threads > 1) {
+      if (width > 1) {
         {
           std::lock_guard<std::mutex> guard(
               tier1_locks[table.Tier1BucketIndex(obj_key)]);
@@ -166,34 +174,25 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   if (threads <= 1) {
     scan_range(0, n_objects);
   } else {
-    // Parallel path. The scan is split into fixed-size chunks whose boundaries depend
-    // only on (n_objects, threads) — both public — so the split itself leaks nothing.
-    // A marker event records the parallel structure, then each worker buffers its
-    // trace events thread-locally (the shared recorder is not thread-safe) and the
-    // buffers are merged in chunk-index order, reproducing the sequential kRead
-    // sequence deterministically.
+    // Parallel path. The scan is split into `threads` fixed-size chunks whose
+    // boundaries depend only on (n_objects, threads) -- both public -- so the split
+    // itself leaks nothing. A marker event records the parallel structure; the chunk
+    // range is then halved recursively over the pool (TraceForkJoinHalves, as the
+    // bitonic sort does), which buffers each half's trace events and merges them in
+    // chunk order, reproducing the sequential kRead sequence whatever the width.
     TraceRecord(TraceOp::kParallelScan, static_cast<uint64_t>(threads), n_objects);
-    std::vector<std::thread> workers;
-    std::vector<std::vector<TraceEvent>> chunk_events(static_cast<size_t>(threads));
     const size_t chunk = (n_objects + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const size_t begin = t * chunk;
-      const size_t end = begin + chunk < n_objects ? begin + chunk : n_objects;
-      if (begin >= end) {
-        break;
+    const std::function<void(size_t, size_t, int)> run_chunks = [&](size_t lo, size_t hi,
+                                                                    int w) {
+      if (hi - lo == 1) {
+        scan_range(std::min(lo * chunk, n_objects), std::min((lo + 1) * chunk, n_objects));
+        return;
       }
-      std::vector<TraceEvent>* sink = &chunk_events[static_cast<size_t>(t)];
-      workers.emplace_back([&, begin, end, sink] {
-        TraceThreadBuffer buffer{sink};
-        scan_range(begin, end);
-      });
-    }
-    for (std::thread& w : workers) {
-      w.join();
-    }
-    for (const std::vector<TraceEvent>& events : chunk_events) {
-      TraceAppendCurrent(events);
-    }
+      const size_t mid = lo + (hi - lo) / 2;
+      internal::TraceForkJoinHalves([&] { run_chunks(lo, mid, w / 2); },
+                                    [&] { run_chunks(mid, hi, w - w / 2); }, w);
+    };
+    run_chunks(0, static_cast<size_t>(threads), width);
   }
 
   scan_trace.End();

@@ -1,12 +1,13 @@
 // Vectorized oblivious kernels with one-time runtime dispatch.
 //
 // primitives.h defines the oblivious compare-and-set contract with scalar 8-byte mask
-// arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the three hot
-// byte-level operators (conditional copy, conditional swap, equality) behind a single
-// public dispatch decision. The Snoopy paper (section 8.1) instantiates its oblivious
-// operators with AVX-512 masked moves inside SGX; the AVX-512 backend here is that
-// construction literally (`vpblendmb` under an all-ones/all-zeros k-mask), while the
-// AVX2/SSE2 backends use the and/andnot/or select and masked xor-swap forms.
+// arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the hot
+// byte-level operators (conditional copy, conditional swap, equality, and the
+// subORAM's fused per-bucket compare-and-set) behind a single public dispatch decision.
+// The Snoopy paper (section 8.1) instantiates its oblivious operators with AVX-512
+// masked moves inside SGX; the AVX-512 backend here is that construction literally
+// (`vpblendmb` under an all-ones/all-zeros k-mask), while the AVX2/SSE2 backends use
+// the and/andnot/or select and masked xor-swap forms.
 //
 // Obliviousness argument, per backend:
 //  - The secret mask enters a vector register through a broadcast and a value barrier
@@ -142,9 +143,20 @@ inline void ResetKernelBackend() {
   kernel_internal::BackendState().store(-1, std::memory_order_relaxed);
 }
 
+// Per-slot secret masks for KernelCondScanBucket (each all-ones or all-zeros):
+//   write   -- the object takes the slot's request value (a granted write matches)
+//   respond -- the slot's response takes the object's pre-state (the slot matches)
+//   deny    -- the slot's response is zeroed (a matching request was refused)
+struct ScanSlotMasks {
+  uint64_t write;
+  uint64_t respond;
+  uint64_t deny;
+};
+
 // SNOOPY_OBLIVIOUS_BEGIN(kernels)
 // ct-public: i n
-// ct-calls: ValueBarrier __attribute__ target GenericDiffWord alignas
+// ct-public: s n_slots stride slot
+// ct-calls: ValueBarrier __attribute__ target GenericDiffWord GenericCondScanBucket alignas
 
 namespace kernel_internal {
 
@@ -164,6 +176,43 @@ inline uint64_t GenericDiffWord(const uint8_t* a, const uint8_t* b, size_t n) {
     acc |= static_cast<uint64_t>(a[i] ^ b[i]);
   }
   return acc;
+}
+
+// Bucket scan, generic backend (and the sub-16-byte tail of every vector backend).
+// Walks the value in 8-byte words, then bytes; each chunk of the object is loaded
+// once, threaded through every slot, and stored once. Per slot:
+//   response = deny ? 0 : (respond ? obj : req);   obj = write ? req : obj.
+// `slots` points at slot 0's value bytes; slot s's value starts at slots + s*stride.
+inline void GenericCondScanBucket(const ScanSlotMasks* masks, uint8_t* obj, uint8_t* slots,
+                                  size_t n_slots, size_t stride, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t o;
+    std::memcpy(&o, obj + i, 8);
+    for (size_t s = 0; s < n_slots; ++s) {
+      uint8_t* slot = slots + s * stride + i;
+      uint64_t r;
+      std::memcpy(&r, slot, 8);
+      const uint64_t respond = ValueBarrier(masks[s].respond);
+      const uint64_t out = CtSelect64Mask(respond, o, r) & ~ValueBarrier(masks[s].deny);
+      o = CtSelect64Mask(ValueBarrier(masks[s].write), r, o);
+      std::memcpy(slot, &out, 8);
+    }
+    std::memcpy(obj + i, &o, 8);
+  }
+  for (; i < n; ++i) {
+    uint8_t o = obj[i];
+    for (size_t s = 0; s < n_slots; ++s) {
+      uint8_t* slot = slots + s * stride + i;
+      const uint8_t r = *slot;
+      const auto respond = static_cast<uint8_t>(ValueBarrier(masks[s].respond));
+      const auto deny = static_cast<uint8_t>(ValueBarrier(masks[s].deny));
+      const auto write = static_cast<uint8_t>(ValueBarrier(masks[s].write));
+      *slot = static_cast<uint8_t>(((o & respond) | (r & ~respond)) & ~deny);
+      o = static_cast<uint8_t>((r & write) | (o & ~write));
+    }
+    obj[i] = o;
+  }
 }
 
 #if SNOOPY_KERNELS_X86
@@ -226,6 +275,40 @@ __attribute__((target("sse2"))) inline uint64_t KernelSse2DiffWord(const uint8_t
   uint64_t lanes[2];
   _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
+}
+
+// One 16-byte column of a bucket scan: the object chunk lives in a register across
+// all slots (the GenericCondScanBucket contract, one vector chunk wide).
+__attribute__((target("sse2"))) inline void KernelSse2ScanColumn(const ScanSlotMasks* masks,
+                                                                 uint8_t* obj, uint8_t* slots,
+                                                                 size_t n_slots,
+                                                                 size_t stride) {
+  __m128i o = _mm_loadu_si128(reinterpret_cast<const __m128i*>(obj));
+  for (size_t s = 0; s < n_slots; ++s) {
+    auto* slot = reinterpret_cast<__m128i*>(slots + s * stride);
+    const __m128i r = _mm_loadu_si128(slot);
+    const __m128i write =
+        KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(masks[s].write)));
+    const __m128i respond =
+        KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(masks[s].respond)));
+    const __m128i deny =
+        KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(masks[s].deny)));
+    const __m128i out = _mm_andnot_si128(
+        deny, _mm_or_si128(_mm_and_si128(o, respond), _mm_andnot_si128(respond, r)));
+    o = _mm_or_si128(_mm_and_si128(r, write), _mm_andnot_si128(write, o));
+    _mm_storeu_si128(slot, out);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(obj), o);
+}
+
+__attribute__((target("sse2"))) inline void KernelSse2CondScanBucket(
+    const ScanSlotMasks* masks, uint8_t* obj, uint8_t* slots, size_t n_slots, size_t stride,
+    size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    KernelSse2ScanColumn(masks, obj + i, slots + i, n_slots, stride);
+  }
+  GenericCondScanBucket(masks, obj + i, slots + i, n_slots, stride, n - i);
 }
 
 // ---- AVX2: 32-byte lanes ----
@@ -294,6 +377,42 @@ __attribute__((target("avx2"))) inline uint64_t KernelAvx2DiffWord(const uint8_t
   uint64_t lanes[2];
   _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc128);
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
+}
+
+__attribute__((target("avx2"))) inline void KernelAvx2ScanColumn(const ScanSlotMasks* masks,
+                                                                 uint8_t* obj, uint8_t* slots,
+                                                                 size_t n_slots,
+                                                                 size_t stride) {
+  __m256i o = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(obj));
+  for (size_t s = 0; s < n_slots; ++s) {
+    auto* slot = reinterpret_cast<__m256i*>(slots + s * stride);
+    const __m256i r = _mm256_loadu_si256(slot);
+    const __m256i write =
+        KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(masks[s].write)));
+    const __m256i respond =
+        KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(masks[s].respond)));
+    const __m256i deny =
+        KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(masks[s].deny)));
+    const __m256i out = _mm256_andnot_si256(
+        deny, _mm256_or_si256(_mm256_and_si256(o, respond), _mm256_andnot_si256(respond, r)));
+    o = _mm256_or_si256(_mm256_and_si256(r, write), _mm256_andnot_si256(write, o));
+    _mm256_storeu_si256(slot, out);
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(obj), o);
+}
+
+__attribute__((target("avx2"))) inline void KernelAvx2CondScanBucket(
+    const ScanSlotMasks* masks, uint8_t* obj, uint8_t* slots, size_t n_slots, size_t stride,
+    size_t n) {
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    KernelAvx2ScanColumn(masks, obj + i, slots + i, n_slots, stride);
+  }
+  if (i + 16 <= n) {
+    KernelSse2ScanColumn(masks, obj + i, slots + i, n_slots, stride);
+    i += 16;
+  }
+  GenericCondScanBucket(masks, obj + i, slots + i, n_slots, stride, n - i);
 }
 
 // ---- AVX-512: 64-byte lanes; the copy is the paper's masked-move construction ----
@@ -405,6 +524,45 @@ __attribute__((target("avx512f,avx512bw"))) inline uint64_t KernelAvx512DiffWord
   return wide_or | lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
 }
 
+// The paper's compare-and-set at bucket granularity: the three per-slot masks become
+// k-masks and every select is an in-register vpblendmb; loads and stores are
+// full-width and unmasked, so the touched byte set is mask-independent.
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512ScanColumn(
+    const ScanSlotMasks* masks, uint8_t* obj, uint8_t* slots, size_t n_slots, size_t stride) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i o = _mm512_loadu_si512(obj);
+  for (size_t s = 0; s < n_slots; ++s) {
+    uint8_t* slot = slots + s * stride;
+    const __m512i r = _mm512_loadu_si512(slot);
+    const __mmask64 write = _cvtu64_mask64(ValueBarrier(masks[s].write));
+    const __mmask64 respond = _cvtu64_mask64(ValueBarrier(masks[s].respond));
+    const __mmask64 deny = _cvtu64_mask64(ValueBarrier(masks[s].deny));
+    const __m512i out =
+        _mm512_mask_blend_epi8(deny, _mm512_mask_blend_epi8(respond, r, o), zero);
+    o = _mm512_mask_blend_epi8(write, o, r);
+    _mm512_storeu_si512(slot, out);
+  }
+  _mm512_storeu_si512(obj, o);
+}
+
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512CondScanBucket(
+    const ScanSlotMasks* masks, uint8_t* obj, uint8_t* slots, size_t n_slots, size_t stride,
+    size_t n) {
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    KernelAvx512ScanColumn(masks, obj + i, slots + i, n_slots, stride);
+  }
+  if (i + 32 <= n) {
+    KernelAvx2ScanColumn(masks, obj + i, slots + i, n_slots, stride);
+    i += 32;
+  }
+  if (i + 16 <= n) {
+    KernelSse2ScanColumn(masks, obj + i, slots + i, n_slots, stride);
+    i += 16;
+  }
+  GenericCondScanBucket(masks, obj + i, slots + i, n_slots, stride, n - i);
+}
+
 #endif  // SNOOPY_KERNELS_X86
 
 }  // namespace kernel_internal
@@ -496,6 +654,40 @@ inline void KernelCondCopyBytes(SecretBool c, void* dst, const void* src, size_t
 
 inline void KernelCondSwapBytes(SecretBool c, void* a, void* b, size_t n) {
   KernelCondSwapBytesMask(c.mask(), a, b, n);
+}
+
+// The subORAM's per-bucket compare-and-set (Fig. 7 step 2) as one kernel: applies
+// every slot of a bucket to one object's value, in slot order, with one dispatch.
+// `slot_values` points at slot 0's value bytes and slot s's value starts
+// s * `stride` bytes later. For each slot, byte-for-byte the same as
+//   old <- obj; obj <- write ? req : obj; req <- respond ? old : req;
+//   req <- deny ? 0 : req
+// so several matching slots in one bucket compose exactly as the per-slot sequence
+// does. Every object and slot byte is loaded and stored unconditionally; the address
+// sequence is a function of (n_slots, stride, value_size) alone.
+inline void KernelCondScanBucket(const ScanSlotMasks* masks, uint8_t* obj_value,
+                                 uint8_t* slot_values, size_t n_slots, size_t stride,
+                                 size_t value_size) {
+#if SNOOPY_KERNELS_X86
+  const KernelBackend backend = ActiveKernelBackend();
+  if (backend == KernelBackend::kAVX512) {
+    kernel_internal::KernelAvx512CondScanBucket(masks, obj_value, slot_values, n_slots,
+                                                stride, value_size);
+    return;
+  }
+  if (backend == KernelBackend::kAVX2) {
+    kernel_internal::KernelAvx2CondScanBucket(masks, obj_value, slot_values, n_slots, stride,
+                                              value_size);
+    return;
+  }
+  if (backend == KernelBackend::kSSE2) {
+    kernel_internal::KernelSse2CondScanBucket(masks, obj_value, slot_values, n_slots, stride,
+                                              value_size);
+    return;
+  }
+#endif
+  kernel_internal::GenericCondScanBucket(masks, obj_value, slot_values, n_slots, stride,
+                                         value_size);
 }
 
 // ---- Cache-tile geometry for the blocked bitonic sort (public) ----

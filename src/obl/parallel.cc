@@ -28,9 +28,10 @@ namespace {
 thread_local int tls_thread_budget = 0;       // 0 = no scope active
 thread_local bool tls_on_worker_thread = false;
 
+#ifndef NDEBUG
 // The nested-spawn path is a bug (oversubscription: the work-inflation regression),
 // so it must be loud in debug builds and merely degraded -- sequential, correct --
-// in release builds.
+// in release builds (where this helper's only caller compiles out).
 [[noreturn]] void NestedSpawnFatal(const char* what) {
   std::fprintf(stderr,
                "snoopy WorkPool: %s from inside a pool worker without thread "
@@ -39,6 +40,7 @@ thread_local bool tls_on_worker_thread = false;
                what);
   std::abort();
 }
+#endif  // NDEBUG
 
 }  // namespace
 

@@ -99,6 +99,15 @@ CTDF_ROOT uint64_t ctdf_kernel_equal(const uint8_t* a, const uint8_t* b, size_t 
   return snoopy::KernelDiffBytesWord(a, b, n);
 }
 
+// The subORAM's fused bucket scan: the per-slot mask array, the object value and the
+// bucket's slot values are all secret; slot count, stride and value size are public.
+// ctdf-symbol: ctdf_kernel_cond_scan_bucket secret=ptr:rdi,ptr:rsi,ptr:rdx
+CTDF_ROOT void ctdf_kernel_cond_scan_bucket(const snoopy::ScanSlotMasks* masks,
+                                            uint8_t* obj, uint8_t* slots, size_t n_slots,
+                                            size_t stride, size_t value_size) {
+  snoopy::KernelCondScanBucket(masks, obj, slots, n_slots, stride, value_size);
+}
+
 // ---- Per-backend kernel internals (audited even when CPUID dispatch would not
 //      select them on this machine; the analysis is static) ----
 
@@ -116,6 +125,14 @@ CTDF_ROOT void ctdf_generic_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, siz
 // ctdf-symbol: ctdf_generic_equal secret=ptr:rdi,ptr:rsi backend=generic
 CTDF_ROOT uint64_t ctdf_generic_equal(const uint8_t* a, const uint8_t* b, size_t n) {
   return snoopy::kernel_internal::GenericDiffWord(a, b, n);
+}
+
+// ctdf-symbol: ctdf_generic_cond_scan_bucket secret=ptr:rdi,ptr:rsi,ptr:rdx backend=generic
+CTDF_ROOT void ctdf_generic_cond_scan_bucket(const snoopy::ScanSlotMasks* masks,
+                                             uint8_t* obj, uint8_t* slots, size_t n_slots,
+                                             size_t stride, size_t value_size) {
+  snoopy::kernel_internal::GenericCondScanBucket(masks, obj, slots, n_slots, stride,
+                                                 value_size);
 }
 
 #if SNOOPY_KERNELS_X86
@@ -136,6 +153,14 @@ CTDF_ROOT uint64_t ctdf_sse2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelSse2DiffWord(a, b, n);
 }
 
+// ctdf-symbol: ctdf_sse2_cond_scan_bucket secret=ptr:rdi,ptr:rsi,ptr:rdx backend=sse2
+CTDF_ROOT void ctdf_sse2_cond_scan_bucket(const snoopy::ScanSlotMasks* masks, uint8_t* obj,
+                                          uint8_t* slots, size_t n_slots, size_t stride,
+                                          size_t value_size) {
+  snoopy::kernel_internal::KernelSse2CondScanBucket(masks, obj, slots, n_slots, stride,
+                                                    value_size);
+}
+
 // ctdf-symbol: ctdf_avx2_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=avx2
 CTDF_ROOT void ctdf_avx2_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
                                    size_t n) {
@@ -152,6 +177,14 @@ CTDF_ROOT uint64_t ctdf_avx2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, n);
 }
 
+// ctdf-symbol: ctdf_avx2_cond_scan_bucket secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx2
+CTDF_ROOT void ctdf_avx2_cond_scan_bucket(const snoopy::ScanSlotMasks* masks, uint8_t* obj,
+                                          uint8_t* slots, size_t n_slots, size_t stride,
+                                          size_t value_size) {
+  snoopy::kernel_internal::KernelAvx2CondScanBucket(masks, obj, slots, n_slots, stride,
+                                                    value_size);
+}
+
 // ctdf-symbol: ctdf_avx512_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=avx512
 CTDF_ROOT void ctdf_avx512_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
                                      size_t n) {
@@ -166,6 +199,14 @@ CTDF_ROOT void ctdf_avx512_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size
 // ctdf-symbol: ctdf_avx512_equal secret=ptr:rdi,ptr:rsi backend=avx512
 CTDF_ROOT uint64_t ctdf_avx512_equal(const uint8_t* a, const uint8_t* b, size_t n) {
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, n);
+}
+
+// ctdf-symbol: ctdf_avx512_cond_scan_bucket secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx512
+CTDF_ROOT void ctdf_avx512_cond_scan_bucket(const snoopy::ScanSlotMasks* masks, uint8_t* obj,
+                                            uint8_t* slots, size_t n_slots, size_t stride,
+                                            size_t value_size) {
+  snoopy::kernel_internal::KernelAvx512CondScanBucket(masks, obj, slots, n_slots, stride,
+                                                      value_size);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -61,6 +61,15 @@ __attribute__((noipa)) uint64_t nb_secret_compare_chain(uint64_t x, uint64_t y) 
   return (lt | (eq & !lt)).mask();
 }
 
+// nb-symbol: nb_kernel_generic_cond_scan_bucket11
+// The bucket scan's portable backend at one 8-byte word plus a 3-byte tail, over two
+// slots (every vector backend below finishes its tail through this code).
+__attribute__((noipa)) void nb_kernel_generic_cond_scan_bucket11(
+    const snoopy::ScanSlotMasks* __restrict__ m, uint8_t* __restrict__ obj,
+    uint8_t* __restrict__ slots) {
+  snoopy::kernel_internal::GenericCondScanBucket(m, obj, slots, 2, 24, 11);
+}
+
 #if SNOOPY_KERNELS_X86
 
 // The SIMD kernel backends (src/obl/kernels.h) make the same promise per backend:
@@ -121,6 +130,30 @@ __attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_cond_sw
 __attribute__((noipa, target("avx512f,avx512bw"))) uint64_t nb_kernel_avx512_equal208(
     const uint8_t* a, const uint8_t* b) {
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, 208);
+}
+
+// Bucket scans: two slots at a value size that runs each backend's wide column, every
+// narrower vector column below it, and the generic word and byte tails.
+
+// nb-symbol[x86]: nb_kernel_sse2_cond_scan_bucket27
+__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_cond_scan_bucket27(
+    const snoopy::ScanSlotMasks* __restrict__ m, uint8_t* __restrict__ obj,
+    uint8_t* __restrict__ slots) {
+  snoopy::kernel_internal::KernelSse2CondScanBucket(m, obj, slots, 2, 40, 27);
+}
+
+// nb-symbol[x86]: nb_kernel_avx2_cond_scan_bucket59
+__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_cond_scan_bucket59(
+    const snoopy::ScanSlotMasks* __restrict__ m, uint8_t* __restrict__ obj,
+    uint8_t* __restrict__ slots) {
+  snoopy::kernel_internal::KernelAvx2CondScanBucket(m, obj, slots, 2, 72, 59);
+}
+
+// nb-symbol[x86]: nb_kernel_avx512_cond_scan_bucket123
+__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_cond_scan_bucket123(
+    const snoopy::ScanSlotMasks* __restrict__ m, uint8_t* __restrict__ obj,
+    uint8_t* __restrict__ slots) {
+  snoopy::kernel_internal::KernelAvx512CondScanBucket(m, obj, slots, 2, 136, 123);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -1,7 +1,8 @@
 // Tests for the dispatching SIMD kernel layer (src/obl/kernels.h): differential
-// fuzzing of every supported backend against the scalar TCB primitives, dispatch
-// override plumbing, trace identity of the blocked sort across backends and tile
-// sizes, and the vectorized ChaCha20 keystream against the scalar block function.
+// fuzzing of every supported backend against the scalar TCB primitives (and of the
+// fused bucket scan against the per-slot three-copy sequence), dispatch override
+// plumbing, trace identity of the blocked sort and the subORAM scan across backends,
+// and the vectorized ChaCha20 keystream against the scalar block function.
 
 #include "src/obl/kernels.h"
 
@@ -12,6 +13,8 @@
 #include <cstring>
 #include <vector>
 
+#include "src/core/request.h"
+#include "src/core/suboram.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
@@ -201,6 +204,173 @@ TEST(Kernels, SecretBoolFormsMatchMaskForms) {
     EXPECT_EQ(a[0], 2);
     KernelCondCopyBytes(SecretBool::FromBool(true), a.data(), b.data(), a.size());
     EXPECT_EQ(a[0], 1);
+  }
+}
+
+// --- Fused bucket scan vs the per-slot three-copy sequence -----------------------
+
+// The subORAM's former per-slot body, kept here as the reference semantics:
+//   old <- obj; obj <- W ? req : obj; req <- M ? old : req; req <- D ? 0 : req.
+void ThreeCopyScanReference(const std::vector<ScanSlotMasks>& masks, uint8_t* obj,
+                            uint8_t* slots, size_t stride, size_t value_size) {
+  std::vector<uint8_t> old(value_size);
+  const std::vector<uint8_t> zeros(value_size, 0);
+  for (size_t s = 0; s < masks.size(); ++s) {
+    uint8_t* req = slots + s * stride;
+    std::memcpy(old.data(), obj, value_size);
+    CtCondCopyBytesMask(masks[s].write, obj, req, value_size);
+    CtCondCopyBytesMask(masks[s].respond, req, old.data(), value_size);
+    CtCondCopyBytesMask(masks[s].deny, req, zeros.data(), value_size);
+  }
+}
+
+// Masks as the subORAM derives them from (match, is_write, granted) per slot.
+// `matches` slots (chosen at random) match; one of them is denied when `deny_one`.
+std::vector<ScanSlotMasks> SubOramStyleMasks(Rng& rng, size_t n_slots, size_t matches,
+                                             bool deny_one) {
+  std::vector<bool> match(n_slots, false);
+  for (size_t placed = 0; placed < matches && placed < n_slots;) {
+    const size_t s = static_cast<size_t>(rng.Uniform(n_slots));
+    if (!match[s]) {
+      match[s] = true;
+      ++placed;
+    }
+  }
+  bool denied = false;
+  std::vector<ScanSlotMasks> masks(n_slots);
+  for (size_t s = 0; s < n_slots; ++s) {
+    const bool is_write = rng.Uniform(2) != 0;
+    const bool granted = !(deny_one && match[s] && !denied);
+    denied = denied || (match[s] && !granted);
+    masks[s] = ScanSlotMasks{CtMask64(match[s] && is_write && granted), CtMask64(match[s]),
+                             CtMask64(match[s] && !granted)};
+  }
+  return masks;
+}
+
+TEST(Kernels, CondScanBucketMatchesThreeCopyReference) {
+  Rng rng(103);
+  constexpr size_t kHeader = 48;  // the request header preceding each slot's value
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    BackendGuard guard;
+    SetKernelBackend(backend);
+    for (const size_t value_size : {size_t{1}, size_t{8}, size_t{15}, size_t{16}, size_t{31},
+                                    size_t{32}, size_t{63}, size_t{64}, size_t{65},
+                                    size_t{160}, size_t{200}}) {
+      const size_t stride = kHeader + value_size;
+      for (int iter = 0; iter < 24; ++iter) {
+        const size_t n_slots = 1 + static_cast<size_t>(rng.Uniform(12));
+        const size_t mis_obj = static_cast<size_t>(rng.Uniform(64));
+        const size_t mis_slots = static_cast<size_t>(rng.Uniform(64));
+        std::vector<ScanSlotMasks> masks;
+        switch (iter % 5) {
+          case 0:  // no matching slot
+            masks = SubOramStyleMasks(rng, n_slots, 0, false);
+            break;
+          case 1:  // exactly one
+            masks = SubOramStyleMasks(rng, n_slots, 1, false);
+            break;
+          case 2:  // several matches in one bucket (no distinctness assumed)
+            masks = SubOramStyleMasks(rng, n_slots, 2 + rng.Uniform(n_slots), false);
+            break;
+          case 3:  // a denied match among others
+            masks = SubOramStyleMasks(rng, n_slots, 1 + rng.Uniform(n_slots), true);
+            break;
+          default:  // arbitrary independent mask triples
+            masks.resize(n_slots);
+            for (ScanSlotMasks& m : masks) {
+              m = ScanSlotMasks{CtMask64(rng.Uniform(2) != 0), CtMask64(rng.Uniform(2) != 0),
+                                CtMask64(rng.Uniform(2) != 0)};
+            }
+        }
+        // Guard bytes around both buffers catch any out-of-bounds write; the slot
+        // headers between values must come back untouched too.
+        std::vector<uint8_t> obj(value_size + 128 + mis_obj);
+        std::vector<uint8_t> bucket(n_slots * stride + 128 + mis_slots);
+        for (auto& b : obj) b = static_cast<uint8_t>(rng.Next64());
+        for (auto& b : bucket) b = static_cast<uint8_t>(rng.Next64());
+        std::vector<uint8_t> want_obj = obj;
+        std::vector<uint8_t> want_bucket = bucket;
+        ThreeCopyScanReference(masks, want_obj.data() + mis_obj,
+                               want_bucket.data() + mis_slots + kHeader, stride, value_size);
+        KernelCondScanBucket(masks.data(), obj.data() + mis_obj,
+                             bucket.data() + mis_slots + kHeader, n_slots, stride,
+                             value_size);
+        ASSERT_EQ(obj, want_obj) << KernelBackendName(backend) << " value_size=" << value_size
+                                 << " slots=" << n_slots << " iter=" << iter;
+        ASSERT_EQ(bucket, want_bucket)
+            << KernelBackendName(backend) << " value_size=" << value_size
+            << " slots=" << n_slots << " iter=" << iter;
+      }
+    }
+  }
+}
+
+// End-to-end through the subORAM scan: one batch against one store, run at every
+// backend and with two different secret batches of the same public shape. Responses
+// and final store contents must agree across backends, and the enclave trace must be
+// identical across backends AND across the two secret inputs.
+struct ScanRun {
+  std::vector<TraceEvent> trace;
+  std::vector<uint8_t> responses;
+  std::vector<std::vector<uint8_t>> store;
+};
+
+ScanRun SubOramScanRun(KernelBackend backend, uint64_t request_seed) {
+  BackendGuard guard;
+  SetKernelBackend(backend);
+  constexpr size_t kValue = 160;
+  constexpr uint64_t kObjects = 300;
+  SubOramConfig cfg;
+  cfg.value_size = kValue;
+  cfg.lambda = 40;
+  SubOram so(cfg, /*rng_seed=*/5);  // same seed: same per-batch hash keys
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < kObjects; ++k) {
+    objects.emplace_back(k, std::vector<uint8_t>(kValue, static_cast<uint8_t>(k)));
+  }
+  so.Initialize(objects);
+  Rng rng(request_seed);
+  RequestBatch batch(kValue);
+  std::vector<bool> used(kObjects, false);
+  for (uint64_t i = 0; i < 40; ++i) {
+    uint64_t key = rng.Uniform(kObjects);
+    while (used[key]) {
+      key = (key + 1) % kObjects;
+    }
+    used[key] = true;
+    RequestHeader h;
+    h.key = key;
+    h.op = rng.Uniform(2) != 0 ? kOpWrite : kOpRead;
+    h.granted = rng.Uniform(5) != 0 ? 1 : 0;
+    h.client_seq = i;
+    batch.Append(h, std::vector<uint8_t>(kValue, static_cast<uint8_t>(rng.Next64())));
+  }
+  ScanRun run;
+  TraceScope scope;
+  RequestBatch out = so.ProcessBatch(std::move(batch));
+  run.trace = scope.Events();
+  run.responses.assign(out.slab().data(), out.slab().data() + out.size() * out.record_bytes());
+  for (uint64_t k = 0; k < kObjects; ++k) {
+    std::vector<uint8_t> v;
+    so.DebugRead(k, &v);
+    run.store.push_back(v);
+  }
+  return run;
+}
+
+TEST(KernelTrace, SubOramScanIdenticalAcrossBackendsAndSecrets) {
+  const ScanRun reference = SubOramScanRun(KernelBackend::kGeneric, 1);
+  const ScanRun other_secrets = SubOramScanRun(KernelBackend::kGeneric, 2);
+  EXPECT_NE(reference.responses, other_secrets.responses);  // the inputs really differ
+  EXPECT_TRUE(NonVacuousTraceEq(reference.trace, other_secrets.trace));
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    const ScanRun run = SubOramScanRun(backend, 1);
+    EXPECT_TRUE(NonVacuousTraceEq(reference.trace, run.trace)) << KernelBackendName(backend);
+    EXPECT_EQ(reference.responses, run.responses) << KernelBackendName(backend);
+    EXPECT_EQ(reference.store, run.store) << KernelBackendName(backend);
+    EXPECT_TRUE(NonVacuousTraceEq(reference.trace, SubOramScanRun(backend, 2).trace))
+        << KernelBackendName(backend) << " (second secret input)";
   }
 }
 

@@ -10,6 +10,7 @@
 #include "src/crypto/rng.h"
 #include "src/enclave/rollback.h"
 #include "src/enclave/trace.h"
+#include "src/obl/parallel.h"
 
 namespace snoopy {
 namespace {
@@ -277,6 +278,62 @@ TEST(SubOram, ParallelScanTraceMatchesSequentialPlusMarker) {
   for (const TraceEvent& e : sequential) {
     ASSERT_NE(e.op, TraceOp::kParallelScan);
   }
+}
+
+TEST(SubOram, ParallelScanInsideBudgetOnePoolTask) {
+  // Inside an epoch the scan runs as a WorkPool task. With a thread budget of 1 the
+  // chunks must run one after another on the task's own thread (no nested spawn, no
+  // debug-build abort), yet the trace keeps the scan_threads = 3 chunk structure and
+  // marker, and the responses match a top-level 3-thread scan.
+  struct Result {
+    std::vector<TraceEvent> trace;
+    std::vector<uint8_t> responses;
+  };
+  auto run = [](bool inside_pool) {
+    SubOramConfig cfg;
+    cfg.value_size = kValueSize;
+    cfg.lambda = 40;
+    cfg.scan_threads = 3;
+    SubOram so(cfg, /*seed=*/7);  // same seed: same per-batch hash keys
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+    for (uint64_t k = 0; k < 2048; ++k) {
+      objects.emplace_back(k, ValueFor(k));
+    }
+    so.Initialize(objects);
+    RequestBatch batch = MakeBatch({{5, kOpRead, {}},
+                                    {42, kOpWrite, ValueFor(42, 1)},
+                                    {1999, kOpRead, {}}});
+    Result result;
+    TraceScope scope;
+    auto process = [&] {
+      RequestBatch out = so.ProcessBatch(std::move(batch));
+      result.responses.assign(out.slab().data(),
+                              out.slab().data() + out.size() * out.record_bytes());
+    };
+    if (inside_pool) {
+      // Body 0 runs on this thread under a budget of 1 (parallel.h), so the trace
+      // recorder scope above still captures it.
+      WorkPool::Instance().Run(2, [&](size_t id) {
+        if (id == 0) {
+          EXPECT_EQ(CurrentThreadBudget(), 1);
+          process();
+        }
+      });
+    } else {
+      process();
+    }
+    result.trace = scope.Events();
+    return result;
+  };
+  const Result top_level = run(false);
+  const Result pooled = run(true);
+  EXPECT_TRUE(NonVacuousTraceEq(top_level.trace, pooled.trace));
+  EXPECT_EQ(top_level.responses, pooled.responses);
+  size_t markers = 0;
+  for (const TraceEvent& e : pooled.trace) {
+    markers += e.op == TraceOp::kParallelScan ? 1 : 0;
+  }
+  EXPECT_EQ(markers, 1u);
 }
 
 TEST(SubOram, EmptyBatchIsFine) {

@@ -34,18 +34,21 @@ python3 tools/ct_dataflow.py --repo-root . --opt=-O3
 SNOOPY_FORCE_GENERIC_KERNELS=1 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
 SNOOPY_FORCE_GENERIC_KERNELS=1 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
 
-echo "== bucket-sort audit coverage (decomposed roots present at both opt levels) =="
+echo "== decomposed audit coverage (roots present at both opt levels) =="
 # The bucket strategy's boundary symbols (TryBucketSortSlab etc.) are allowlisted,
 # so their secret-handling kernels are only audited through the decomposed
-# ctdf_bucket_* roots -- if those roots silently fell out of the fixture, the
-# -O2/-O3 stages above would still pass while auditing nothing of the bucket sort.
-for root in ctdf_bucket_route ctdf_bucket_cleanup ctdf_bitonic_tile_sort; do
+# ctdf_bucket_* roots; the subORAM's fused bucket scan is audited through its
+# dispatching root and generic twin. If any of these roots silently fell out of the
+# fixture, the -O2/-O3 stages above would still pass while auditing nothing of it.
+AUDIT_ROOTS="ctdf_bucket_route ctdf_bucket_cleanup ctdf_bitonic_tile_sort"
+AUDIT_ROOTS+=" ctdf_kernel_cond_scan_bucket ctdf_generic_cond_scan_bucket"
+for root in ${AUDIT_ROOTS}; do
   grep -q "ctdf-symbol: ${root} " tests/ct_dataflow_fixture.cc || {
-    echo "ci.sh: bucket-sort audit root ${root} missing from tests/ct_dataflow_fixture.cc"
+    echo "ci.sh: audit root ${root} missing from tests/ct_dataflow_fixture.cc"
     exit 1
   }
 done
-echo "bucket-sort audit roots present: ctdf_bucket_route ctdf_bucket_cleanup ctdf_bitonic_tile_sort"
+echo "audit roots present: ${AUDIT_ROOTS}"
 
 echo "== default build + full test suite =="
 cmake -S . -B build >/dev/null
