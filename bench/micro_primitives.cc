@@ -175,7 +175,7 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(1 << 18);
 
 void BM_AeadSeal(benchmark::State& state) {
   Aead::Key key{};
@@ -299,17 +299,46 @@ void RegisterKernelBenchmarks() {
 // separate from google-benchmark so the emitted file exists on every run
 // regardless of --benchmark_filter.
 template <typename Fn>
-double MeasureNsPerOp(Fn&& fn) {
-  for (int i = 0; i < 2000; ++i) {
+double MeasureNsPerOp(Fn&& fn, int iters = 300000) {
+  for (int i = 0; i < iters / 150; ++i) {
     fn();
   }
-  constexpr int kIters = 300000;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) {
+  for (int i = 0; i < iters; ++i) {
     fn();
   }
   const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
+}
+
+// One-shot SHA-256 per backend: 64 B (an HMAC/attestation-sized input) and 344,164 B
+// (one durable_clients parity chunk, the per-epoch stripe digest). Every non-generic
+// backend takes the SHA-NI compression on a CPU with `sha`; `sha_ni` records which.
+void EmitSha256Points(BenchJsonEmitter& emitter) {
+  std::map<size_t, double> generic_ns;
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetKernelBackend(backend);
+    for (const size_t nbytes : {size_t{64}, size_t{344164}}) {
+      const std::vector<uint8_t> data(nbytes, 0xab);
+      const int iters = nbytes > 4096 ? 300 : 300000;
+      const double ns = MeasureNsPerOp(
+          [&] { benchmark::DoNotOptimize(Sha256::Hash(data.data(), data.size())); }, iters);
+      auto& point = emitter.AddPoint("primitive_kernels");
+      point.Set("backend", KernelBackendName(backend))
+          .Set("op", "sha256")
+          .Set("record_bytes", static_cast<double>(nbytes))
+          .Set("misalign", 0.0)
+          .Set("sha_ni", Sha256::UsesShaNi() ? 1.0 : 0.0)
+          .Set("ns_per_op", ns)
+          .Set("gib_per_s",
+               static_cast<double>(nbytes) / ns * 1e9 / (1024.0 * 1024.0 * 1024.0));
+      if (backend == KernelBackend::kGeneric) {
+        generic_ns[nbytes] = ns;
+      } else if (generic_ns.count(nbytes) != 0 && ns > 0.0) {
+        point.Set("speedup_vs_generic", generic_ns[nbytes] / ns);
+      }
+    }
+  }
 }
 
 // The subORAM scan's per-bucket compare-and-set at the paper's geometry (160-byte
@@ -419,6 +448,7 @@ void EmitKernelSeries() {
     }
   }
   EmitBucketScanPoints(emitter);
+  EmitSha256Points(emitter);
   SetKernelBackend(prev);
   const std::string path = emitter.WriteFile(".");
   if (!path.empty()) {

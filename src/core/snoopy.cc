@@ -48,8 +48,12 @@ constexpr uint8_t kStripeFetch = 2;
 // op(1) owner(4) seal_counter(8) chunk_index(4) chunk_count(4) blob_len(8) offset(8)
 // len(8) digest(32).
 constexpr size_t kStripeHeaderBytes = 77;
+constexpr size_t kStripeDigestOffset = 45;
 constexpr size_t kStripeManifestRespBytes = 33;
 
+// Header fields plus a view of the payload: the sender points it at the sealed blob
+// or the parity chunk, and a decoded message points into the received bytes, so a
+// chunk is copied once into the wire buffer and once into the peer's store.
 struct StripeMsg {
   uint8_t op = 0;
   uint32_t owner = 0;
@@ -60,11 +64,13 @@ struct StripeMsg {
   uint64_t offset = 0;
   uint64_t len = 0;
   Sha256::Digest digest{};
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
 };
 
-std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m) {
-  std::vector<uint8_t> out(kStripeHeaderBytes + m.payload.size());
+// Encodes `m` with a `payload_bytes`-byte payload: m.payload followed by zero padding
+// (a parity-mode data chunk that runs past the end of the blob).
+std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m, size_t payload_bytes = 0) {
+  std::vector<uint8_t> out(kStripeHeaderBytes + std::max(payload_bytes, m.payload.size()));
   uint8_t* p = out.data();
   *p = m.op;
   std::memcpy(p + 1, &m.owner, 4);
@@ -74,13 +80,14 @@ std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m) {
   std::memcpy(p + 21, &m.blob_len, 8);
   std::memcpy(p + 29, &m.offset, 8);
   std::memcpy(p + 37, &m.len, 8);
-  std::memcpy(p + 45, m.digest.data(), 32);
+  std::memcpy(p + kStripeDigestOffset, m.digest.data(), 32);
   if (!m.payload.empty()) {
     std::memcpy(p + kStripeHeaderBytes, m.payload.data(), m.payload.size());
   }
   return out;
 }
 
+// The returned payload views `bytes`.
 StripeMsg DecodeStripeMsg(std::span<const uint8_t> bytes, const std::string& endpoint) {
   if (bytes.size() < kStripeHeaderBytes) {
     throw IntegrityError(endpoint);
@@ -95,8 +102,8 @@ StripeMsg DecodeStripeMsg(std::span<const uint8_t> bytes, const std::string& end
   std::memcpy(&m.blob_len, p + 21, 8);
   std::memcpy(&m.offset, p + 29, 8);
   std::memcpy(&m.len, p + 37, 8);
-  std::memcpy(m.digest.data(), p + 45, 32);
-  m.payload.assign(bytes.begin() + kStripeHeaderBytes, bytes.end());
+  std::memcpy(m.digest.data(), p + kStripeDigestOffset, 32);
+  m.payload = bytes.subspan(kStripeHeaderBytes);
   return m;
 }
 
@@ -846,7 +853,7 @@ std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
 std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
                                                    std::span<const uint8_t> payload) {
   const std::string endpoint = StripeEndpointName(so);
-  StripeMsg m = DecodeStripeMsg(payload, endpoint);
+  const StripeMsg m = DecodeStripeMsg(payload, endpoint);
   auto& store = stripe_store_[so];
   switch (m.op) {
     case kStripeStore: {
@@ -858,7 +865,7 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
       s.chunk_index = m.chunk_index;
       s.chunk_count = m.chunk_count;
       s.blob_len = m.blob_len;
-      s.payload = std::move(m.payload);
+      s.payload.assign(m.payload.begin(), m.payload.end());  // the one receive-side copy
       store[m.owner] = std::move(s);  // latest seal wins; a re-store is idempotent
       return {1};
     }
@@ -914,20 +921,20 @@ void Snoopy::DistributeStripes(uint32_t so) {
   const uint64_t chunk_len =
       sc.xor_parity ? (blob.size() + chunk_count - 1) / chunk_count : blob.size();
 
-  // Parity mode: zero-padded equal-size data chunks plus their XOR on the extra peer.
-  std::vector<std::vector<uint8_t>> chunks;
+  // Parity mode: equal-size data chunks cut from the blob (the last ones zero-padded
+  // past its end) plus their XOR on the extra peer.
+  auto data_chunk = [&](uint32_t c) {
+    const size_t off = std::min<size_t>(static_cast<size_t>(c) * chunk_len, blob.size());
+    return std::span<const uint8_t>(blob).subspan(
+        off, std::min<size_t>(chunk_len, blob.size() - off));
+  };
+  std::vector<uint8_t> parity;
   if (sc.xor_parity) {
-    chunks.assign(peers.size(), std::vector<uint8_t>(chunk_len, 0));
+    parity.assign(chunk_len, 0);
     for (uint32_t c = 0; c < chunk_count; ++c) {
-      const size_t off = static_cast<size_t>(c) * chunk_len;
-      const size_t n = blob.size() > off
-                           ? std::min<size_t>(chunk_len, blob.size() - off)
-                           : 0;
-      if (n > 0) {
-        std::memcpy(chunks[c].data(), blob.data() + off, n);
-      }
-      for (size_t j = 0; j < chunk_len; ++j) {
-        chunks[chunk_count][j] ^= chunks[c][j];
+      const std::span<const uint8_t> chunk = data_chunk(c);
+      for (size_t j = 0; j < chunk.size(); ++j) {
+        parity[j] ^= chunk[j];
       }
     }
   }
@@ -949,10 +956,21 @@ void Snoopy::DistributeStripes(uint32_t so) {
     m.chunk_index = sc.xor_parity ? static_cast<uint32_t>(i) : 0;
     m.chunk_count = chunk_count;
     m.blob_len = blob.size();
-    m.payload = sc.xor_parity ? chunks[i] : blob;
-    m.digest = StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0, m.payload);
+    if (!sc.xor_parity) {
+      m.payload = blob;
+    } else if (m.chunk_index < chunk_count) {
+      m.payload = data_chunk(m.chunk_index);
+    } else {
+      m.payload = parity;
+    }
+    // The digest covers the payload exactly as encoded, zero padding included.
+    std::vector<uint8_t> request = EncodeStripeMsg(m, static_cast<size_t>(chunk_len));
+    const Sha256::Digest digest =
+        StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0,
+                     std::span<const uint8_t>(request).subspan(kStripeHeaderBytes));
+    std::memcpy(request.data() + kStripeDigestOffset, digest.data(), digest.size());
     try {
-      RetriedStripeCall(so, peer, EncodeStripeMsg(m));
+      RetriedStripeCall(so, peer, request);
     } catch (const NetworkError&) {
       // Peer unreachable past the retry budget (or permanently lost mid-push): skip
       // its copy of this snapshot; the next boundary re-stripes.

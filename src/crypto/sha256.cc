@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/obl/kernels.h"
+
 namespace snoopy {
 
 namespace {
@@ -22,16 +24,7 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
-
-void Sha256::Reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
+void ProcessBlockScalar(uint32_t* state, const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
@@ -44,14 +37,14 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0];
-  uint32_t b = state_[1];
-  uint32_t c = state_[2];
-  uint32_t d = state_[3];
-  uint32_t e = state_[4];
-  uint32_t f = state_[5];
-  uint32_t g = state_[6];
-  uint32_t h = state_[7];
+  uint32_t a = state[0];
+  uint32_t b = state[1];
+  uint32_t c = state[2];
+  uint32_t d = state[3];
+  uint32_t e = state[4];
+  uint32_t f = state[5];
+  uint32_t g = state[6];
+  uint32_t h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -70,53 +63,147 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if SNOOPY_KERNELS_X86
+// SHA-NI compression of `n_blocks` whole blocks. The state lives in two registers in
+// the instruction's ABEF/CDGH lane order; each loop step runs four rounds
+// (two sha256rnds2) and, from the fifth step on, derives the next four schedule
+// words from the previous sixteen with sha256msg1/msg2.
+__attribute__((target("sha,sse4.1"))) void ProcessBlocksShaNi(uint32_t* state,
+                                                              const uint8_t* data,
+                                                              size_t n_blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)),
+                                  0xB1);  // CDAB
+  __m128i state1 = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);  // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);                       // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);                             // CDGH
+
+  for (; n_blocks > 0; --n_blocks, data += Sha256::kBlockBytes) {
+    const __m128i abef_save = state0;
+    const __m128i cdgh_save = state1;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& x = w[i & 3];
+      if (i < 4) {
+        x = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), byte_swap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16] for t = 4i..4i+3.
+        x = _mm_add_epi32(_mm_sha256msg1_epu32(x, w[(i - 3) & 3]),
+                          _mm_alignr_epi8(w[(i - 1) & 3], w[(i - 2) & 3], 4));
+        x = _mm_sha256msg2_epu32(x, w[(i - 1) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants + 4 * i)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    state0 = _mm_add_epi32(state0, abef_save);
+    state1 = _mm_add_epi32(state1, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+bool CpuHasShaNi() {
+  static const bool has =
+      __builtin_cpu_supports("sha") != 0 && __builtin_cpu_supports("sse4.1") != 0;
+  return has;
+}
+#endif  // SNOOPY_KERNELS_X86
+
+}  // namespace
+
+void Sha256::Reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  total_len_ = 0;
+  buffer_len_ = 0;
+}
+
+bool Sha256::UsesShaNi() {
+#if SNOOPY_KERNELS_X86
+  return ActiveKernelBackend() != KernelBackend::kGeneric && CpuHasShaNi();
+#else
+  return false;
+#endif
+}
+
+// The branch is on the public kernel backend and CPUID, never on the data.
+void Sha256::ProcessBlocks(const uint8_t* data, size_t n_blocks) {
+#if SNOOPY_KERNELS_X86
+  if (UsesShaNi()) {
+    ProcessBlocksShaNi(state_.data(), data, n_blocks);
+    return;
+  }
+#endif
+  for (; n_blocks > 0; --n_blocks, data += kBlockBytes) {
+    ProcessBlockScalar(state_.data(), data);
+  }
 }
 
 void Sha256::Update(const void* data, size_t len) {
+  if (len == 0) {
+    return;
+  }
   const auto* p = static_cast<const uint8_t*>(data);
   total_len_ += len;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= kBlockBytes) {
-      ProcessBlock(p);
-      p += kBlockBytes;
-      len -= kBlockBytes;
-      continue;
-    }
+  if (buffer_len_ > 0) {
     const size_t take = std::min(len, kBlockBytes - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
     len -= take;
-    if (buffer_len_ == kBlockBytes) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
+    if (buffer_len_ < kBlockBytes) {
+      return;
     }
+    ProcessBlocks(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  const size_t n_blocks = len / kBlockBytes;
+  if (n_blocks > 0) {
+    ProcessBlocks(p, n_blocks);
+    p += n_blocks * kBlockBytes;
+    len -= n_blocks * kBlockBytes;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), p, len);
+    buffer_len_ = len;
   }
 }
 
 Sha256::Digest Sha256::Finalize() {
+  // FIPS 180-4 padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit
+  // length. Past 55 buffered bytes the 0x80 and the length do not fit in one block.
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad_byte = 0x80;
-  Update(&pad_byte, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  const bool extra_block = buffer_len_ > 55;
+  buffer_[buffer_len_] = 0x80;
+  std::memset(buffer_.data() + buffer_len_ + 1, 0, kBlockBytes - buffer_len_ - 1);
+  if (extra_block) {
+    ProcessBlocks(buffer_.data(), 1);
+    buffer_.fill(0);
   }
-  uint8_t len_bytes[8];
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total_len_ accounting for the length block itself.
-  std::memcpy(buffer_.data() + buffer_len_, len_bytes, 8);
-  ProcessBlock(buffer_.data());
+  ProcessBlocks(buffer_.data(), 1);
   buffer_len_ = 0;
 
   Digest out;

@@ -2,7 +2,8 @@
 // fuzzing of every supported backend against the scalar TCB primitives (and of the
 // fused bucket scan against the per-slot three-copy sequence), dispatch override
 // plumbing, trace identity of the blocked sort and the subORAM scan across backends,
-// and the vectorized ChaCha20 keystream against the scalar block function.
+// the vectorized ChaCha20 keystream against the scalar block function, and the
+// SHA-NI SHA-256 compression against the scalar FIPS 180-4 loop.
 
 #include "src/obl/kernels.h"
 
@@ -17,6 +18,7 @@
 #include "src/core/suboram.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/rng.h"
+#include "src/crypto/sha256.h"
 #include "src/enclave/trace.h"
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/primitives.h"
@@ -513,6 +515,56 @@ TEST(ChaChaKernels, ChunkedCryptMatchesOneShot) {
           << KernelBackendName(backend) << " chunk=" << chunk;
     }
   }
+}
+
+// Digests `len` patterned bytes fed to Update in `chunk`-byte pieces under `backend`.
+Sha256::Digest Sha256Chunked(KernelBackend backend, size_t len, size_t chunk) {
+  BackendGuard guard;
+  SetKernelBackend(backend);
+  std::vector<uint8_t> data(len);
+  for (size_t i = 0; i < len; ++i) data[i] = static_cast<uint8_t>(i * 131 + (i >> 8));
+  Sha256 h;
+  for (size_t off = 0; off < len;) {
+    const size_t take = std::min(chunk, len - off);
+    h.Update(data.data() + off, take);
+    off += take;
+  }
+  return h.Finalize();
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalar) {
+  // Lengths straddle the padding boundary (55/56 buffered bytes) and whole-block runs;
+  // 344164 B is one parity chunk of the durable_clients deployment. Chunk sizes that
+  // are not multiples of 64 enter the bulk path right after a buffered partial block.
+  const size_t lens[] = {0,   1,   55,  56,   63,   64,    65,
+                         119, 120, 128, 129, 1000, 4109, 344164};
+  const size_t chunks[] = {1, 37, 64, 100, 4096};
+  for (const size_t len : lens) {
+    const Sha256::Digest want = Sha256Chunked(KernelBackend::kGeneric, len, len + 1);
+    for (const KernelBackend backend : SupportedKernelBackends()) {
+      EXPECT_EQ(Sha256Chunked(backend, len, len + 1), want)
+          << KernelBackendName(backend) << " len=" << len << " one-shot";
+      for (const size_t chunk : chunks) {
+        EXPECT_EQ(Sha256Chunked(backend, len, chunk), want)
+            << KernelBackendName(backend) << " len=" << len << " chunk=" << chunk;
+      }
+    }
+  }
+  BackendGuard guard;
+  SetKernelBackend(KernelBackend::kGeneric);
+  EXPECT_FALSE(Sha256::UsesShaNi()) << "kGeneric must select the scalar loop";
+#if SNOOPY_KERNELS_X86
+  if (__builtin_cpu_supports("sha") == 0 || __builtin_cpu_supports("sse4.1") == 0) {
+    GTEST_SKIP() << "CPU lacks SHA-NI: only the scalar path was compared";
+  }
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetKernelBackend(backend);
+    EXPECT_EQ(Sha256::UsesShaNi(), backend != KernelBackend::kGeneric)
+        << KernelBackendName(backend);
+  }
+#else
+  GTEST_SKIP() << "not x86: only the scalar path was compared";
+#endif
 }
 
 }  // namespace

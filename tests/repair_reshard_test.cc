@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -127,6 +128,60 @@ TEST(Striping, SealDistributesStripesToSuccessorPeers) {
   store->SubmitWrite(1, 1, 1, Val(9));
   store->RunEpoch();
   EXPECT_GT(store->host_stripe(1, 0)->seal_counter, before);
+}
+
+// The stripe each peer holds is byte-for-byte the owner's sealed snapshot (replication)
+// or the chunk cut from it by hand: equal ceil(len / replicas)-byte data chunks, the
+// last zero-padded past the end of the blob, then their XOR on the extra peer.
+TEST(Striping, HostedStripesMatchChunksCutFromTheSnapshot) {
+  bool padded = false;
+  for (const bool xor_parity : {false, true}) {
+    for (const uint32_t replicas : {2u, 3u}) {
+      const uint32_t sos = replicas + (xor_parity ? 2 : 1);
+      auto store = std::make_unique<Snoopy>(StripedConfig(1, sos, replicas, xor_parity, 2), 5);
+      std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+      for (uint64_t k = 1; k <= 40; ++k) {
+        objects.emplace_back(k, Val(k));
+      }
+      store->Initialize(objects);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        store->SubmitWrite(1, 0, 3 + epoch, Val(100 + epoch));
+        store->RunEpoch();
+        for (uint32_t owner = 0; owner < sos; ++owner) {
+          const std::vector<uint8_t>& blob = store->suboram_snapshot(owner);
+          ASSERT_FALSE(blob.empty());
+          const uint32_t chunk_count = xor_parity ? replicas : 1;
+          const size_t chunk_len = (blob.size() + chunk_count - 1) / chunk_count;
+          padded = padded || blob.size() % chunk_count != 0;
+          std::vector<uint8_t> parity(chunk_len, 0);
+          for (uint32_t i = 0; i < replicas + (xor_parity ? 1 : 0); ++i) {
+            std::vector<uint8_t> want;
+            if (i < chunk_count) {
+              want.assign(chunk_len, 0);
+              const size_t off = std::min(blob.size(), size_t{i} * chunk_len);
+              const size_t n = std::min(chunk_len, blob.size() - off);
+              std::memcpy(want.data(), blob.data() + off, n);
+              for (size_t j = 0; j < chunk_len; ++j) {
+                parity[j] ^= want[j];
+              }
+            } else {
+              want = parity;
+            }
+            const uint32_t peer = (owner + 1 + i) % sos;
+            const Snoopy::HostStripe* stripe = store->host_stripe(peer, owner);
+            ASSERT_NE(stripe, nullptr) << "owner " << owner << " peer " << peer;
+            EXPECT_EQ(stripe->chunk_index, xor_parity ? i : 0u);
+            EXPECT_EQ(stripe->chunk_count, chunk_count);
+            EXPECT_EQ(stripe->blob_len, blob.size());
+            EXPECT_EQ(stripe->payload, want)
+                << (xor_parity ? "parity" : "replication") << " replicas=" << replicas
+                << " owner=" << owner << " chunk=" << i << " blob=" << blob.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(padded) << "no parity-mode blob needed a zero-padded last chunk";
 }
 
 TEST(Striping, ConstructorRejectsTooFewPeers) {
