@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -364,20 +362,11 @@ int main(int argc, char** argv) {
     }
   }
   // The sort-strategy column: the configured oblivious-sort strategy these epochs
-  // ran under (SNOOPY_SORT_STRATEGY override applied, mirroring ResolveSortStrategy),
-  // so a JSON regenerated under CI's bucket-strategy stage is distinguishable from
-  // the default run when comparing committed numbers.
-  SortStrategy configured_sort = SnoopyConfig{}.sort_strategy;
-  if (const char* env = std::getenv("SNOOPY_SORT_STRATEGY")) {
-    if (std::strcmp(env, "bitonic") == 0) {
-      configured_sort = SortStrategy::kBitonic;
-    } else if (std::strcmp(env, "bucket") == 0) {
-      configured_sort = SortStrategy::kBucket;
-    } else if (std::strcmp(env, "auto") == 0) {
-      configured_sort = SortStrategy::kAuto;
-    }
-  }
-  const char* sort_strategy_name = SortStrategyName(configured_sort);
+  // ran under (SNOOPY_SORT_STRATEGY override applied), so a JSON regenerated with
+  // the override set is distinguishable from the default run when comparing
+  // committed numbers.
+  const char* sort_strategy_name =
+      SortStrategyName(ApplySortStrategyOverride(SnoopyConfig{}.sort_strategy));
   json.AddPoint("epoch_parallelism")
       .Set("num_suborams", 4)
       .Set("epoch_threads", 1)

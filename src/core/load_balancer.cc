@@ -185,7 +185,7 @@ RequestBatch LoadBalancer::MatchResponses(PreparedEpoch&& epoch,
         const SecretU64 kb(hb->key);
         return (ka < kb) | ((ka == kb) & (wa < wb));
       },
-      config_.sort_strategy, sort_threads);
+      sort_threads);
   sort_trace.End();
   TraceSpan propagate_trace(&Tracer::Global(), "step", "lb_match_propagate");
 

@@ -328,9 +328,7 @@ void Snoopy::Construct() {
     throw std::invalid_argument("Snoopy needs at least one load balancer and one subORAM");
   }
   if (config_.striping.replicas > 0) {
-    const uint32_t peers =
-        config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
-    if (config_.num_suborams <= peers) {
+    if (config_.num_suborams <= StripePeerCount()) {
       throw std::invalid_argument(
           "striping needs num_suborams > replicas (+1 in parity mode): the stripes "
           "live on peer subORAMs");
@@ -513,17 +511,21 @@ void Snoopy::Initialize(
   // First rollback-protected snapshot: a subORAM that crashes before its first epoch
   // completes recovers to its freshly loaded partition. Stripes distribute only after
   // *every* partition sealed (same ordering rule as the epoch boundary).
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    SealSubOramState(so);
-  }
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    DistributeStripes(so);
-  }
+  SealAndDistributeAll();
 }
 
 void Snoopy::SealSubOramState(uint32_t so) {
   if (suborams_[so]->SupportsSealing()) {
     so_snapshots_[so] = suborams_[so]->SealState(*sealed_store_, so_counter_ids_[so]);
+  }
+}
+
+void Snoopy::SealAndDistributeAll() {
+  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+    SealSubOramState(so);
+  }
+  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+    DistributeStripes(so);
   }
 }
 
@@ -798,9 +800,12 @@ void Snoopy::host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe strip
   stripe_store_[peer][owner] = std::move(stripe);
 }
 
+uint32_t Snoopy::StripePeerCount() const {
+  return config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
+}
+
 std::vector<uint32_t> Snoopy::StripePeers(uint32_t so) const {
-  const uint32_t count =
-      config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
+  const uint32_t count = StripePeerCount();
   std::vector<uint32_t> peers;
   peers.reserve(count);
   for (uint32_t i = 1; peers.size() < count; ++i) {
@@ -1563,9 +1568,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     throw std::invalid_argument("Reshard needs at least one subORAM");
   }
   if (config_.striping.replicas > 0) {
-    const uint32_t peers =
-        config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
-    if (new_num_suborams <= peers) {
+    if (new_num_suborams <= StripePeerCount()) {
       throw std::invalid_argument(
           "Reshard target too small for the striping configuration");
     }
@@ -1686,12 +1689,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     RegisterSubOramEndpoints(so);
   }
   // Fresh rollback-protected snapshots + redundancy for the new partitions.
-  for (uint32_t so = 0; so < new_num_suborams; ++so) {
-    SealSubOramState(so);
-  }
-  for (uint32_t so = 0; so < new_num_suborams; ++so) {
-    DistributeStripes(so);
-  }
+  SealAndDistributeAll();
   if (metrics_ != nullptr) {
     metrics_->GetCounter("snoopy_reshards_total").Increment();
   }

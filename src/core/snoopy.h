@@ -71,12 +71,14 @@ struct SnoopyConfig {
   uint32_t lambda = kDefaultLambda;
   int sort_threads = 1;
   // Oblivious sort strategy for the hot sorts (subORAM hash-table construction,
-  // reshard partitioning). kAuto picks bitonic vs bucket per call site from the cost
-  // model's crossover; SNOOPY_SORT_STRATEGY overrides at runtime. Sites whose bin
-  // tags are not simulatable (the load balancer's pre-dedup and match sorts) always
-  // run bitonic regardless. Both strategies yield identical responses and traces
-  // that are thread-count-invariant per strategy; see DESIGN.md "Oblivious sorting".
-  SortStrategy sort_strategy = SortStrategy::kAuto;
+  // reshard partitioning). kBucket runs the bucket sort at every eligible call site
+  // (at least 4096 records and a viable geometry of at least 4 buckets) and the
+  // bitonic network elsewhere; SNOOPY_SORT_STRATEGY overrides at runtime. Sites whose
+  // bin tags are not simulatable (the load balancer's pre-dedup and match sorts)
+  // always run bitonic regardless. Both strategies yield identical responses and
+  // traces that are thread-count-invariant per strategy; see DESIGN.md "Oblivious
+  // sorting".
+  SortStrategy sort_strategy = SortStrategy::kBucket;
   // Worker threads for the epoch pipeline (Figure 9a's scaling claim needs the
   // orchestrator off the critical path): phase 1 prepares load-balancer batches
   // concurrently, phase 2 runs one worker per subORAM (each applying its batches in
@@ -287,8 +289,15 @@ class Snoopy {
                       uint32_t lb_limit);
   void RecoverLoadBalancer(uint32_t lb);
   void SealSubOramState(uint32_t so);
+  // Seals every partition, then distributes every partition's stripes (the ordering
+  // rule of DistributeStripes). Used where all partitions are known healthy: after
+  // Initialize and after a reshard commit.
+  void SealAndDistributeAll();
 
   // --- Striping + repair internals --------------------------------------------------
+  // Number of stripe peers per partition: replicas, plus one parity holder in XOR
+  // parity mode. Striping needs num_suborams above this.
+  uint32_t StripePeerCount() const;
   // The successor peers holding partition so's stripes: replicas of them in
   // replication mode, replicas + 1 (the last holds the XOR parity chunk) in parity
   // mode.

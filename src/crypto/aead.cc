@@ -46,7 +46,11 @@ Poly1305::Tag ComputeTag(const Aead::Key& key, const Aead::Nonce& nonce,
 std::vector<uint8_t> Aead::Seal(const Nonce& nonce, std::span<const uint8_t> aad,
                                 std::span<const uint8_t> plaintext) const {
   std::vector<uint8_t> out(plaintext.size() + kTagBytes);
-  std::memcpy(out.data(), plaintext.data(), plaintext.size());
+  if (!plaintext.empty()) {
+    // An empty span may carry a null data(); memcpy from null is undefined even
+    // for zero bytes.
+    std::memcpy(out.data(), plaintext.data(), plaintext.size());
+  }
   ChaCha20 cipher(std::span<const uint8_t>(key_.data(), key_.size()),
                   std::span<const uint8_t>(nonce.data(), nonce.size()), 1);
   cipher.Crypt(out.data(), plaintext.size());

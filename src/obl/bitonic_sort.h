@@ -41,7 +41,7 @@ namespace snoopy {
 // ct-public: TraceSpan SetArg TraceTilesEnabled first_spans
 // ct-public: pool first_budget second_budget budget allowed first_fn second_fn
 // ct-public: WorkPool OnWorkerThread CurrentThreadBudget
-// ct-calls: GreatestPowerOfTwoBelow BitonicMerge BitonicSortRec AdaptiveSortThreads
+// ct-calls: GreatestPowerOfTwoBelow BitonicNetworkMerge BitonicNetworkSort AdaptiveSortThreads
 // ct-calls: first second SortBlockRecords SortBlockRecordsShared SortTileSharers make_unique
 // ct-calls: WorkPool Instance Reserve ForkJoin OnWorkerThread CurrentThreadBudget
 // ct-calls: assert
@@ -120,43 +120,18 @@ void TraceForkJoinHalves(const First& first, const Second& second, int threads) 
   }
 }
 
-template <typename CSwap>
-void BitonicMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, int threads) {
-  if (n <= 1) {
-    return;
-  }
-  const size_t m = GreatestPowerOfTwoBelow(n);
-  for (size_t i = lo; i < lo + n - m; ++i) {
-    cswap(i, i + m, asc);
-  }
-  TraceForkJoinHalves([&] { BitonicMerge(lo, m, asc, cswap, threads / 2); },
-                      [&] { BitonicMerge(lo + m, n - m, asc, cswap, threads - threads / 2); },
-                      threads);
-}
-
-template <typename CSwap>
-void BitonicSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, int threads) {
-  if (n <= 1) {
-    return;
-  }
-  const size_t m = n / 2;
-  TraceForkJoinHalves([&] { BitonicSortRec(lo, m, !asc, cswap, threads / 2); },
-                      [&] { BitonicSortRec(lo + m, n - m, asc, cswap, threads - threads / 2); },
-                      threads);
-  BitonicMerge(lo, n, asc, cswap, threads);
-}
-
-// ---- Cache-blocked execution (tile executor) ----
+// ---- Tile executor ----
 //
 // Depth-first bitonic recursion is inherently tile-local for segments that fit in
 // cache: once a sort/merge segment is <= B records, every subsequent compare-swap it
-// spawns stays inside those B records. The blocked variant makes that boundary an
-// explicit, public parameter: segments of at most `block` records are executed by a
-// lean tile path (no fork-join dispatch, no thread bookkeeping), and the block size is
-// the same L1 geometry the sim's cost model uses (kernels.h SortBlockRecords). The
-// tile executor replays the *exact* recursion order of BitonicSortRec/BitonicMerge
-// with threads = 1, so the cswap sequence -- and therefore the adversary-visible trace
-// -- is byte-identical for every block size (tests/kernels_test.cc pins this).
+// spawns stays inside those B records. The network makes that boundary an explicit,
+// public parameter: segments of at most `block` records run on this lean tile path
+// (no fork-join dispatch, no thread bookkeeping), and the block size is the same L1
+// geometry the sim's cost model uses (kernels.h SortBlockRecords). The tile path
+// recurses in exactly the order the forking levels above it do, so the cswap
+// sequence -- and therefore the adversary-visible trace -- is byte-identical for
+// every block size and thread count (tests/kernels_test.cc pins this against a
+// test-local reference network).
 
 template <typename CSwap>
 void BitonicTileMerge(size_t lo, size_t n, bool asc, const CSwap& cswap) {
@@ -182,8 +157,15 @@ void BitonicTileSort(size_t lo, size_t n, bool asc, const CSwap& cswap) {
   BitonicTileMerge(lo, n, asc, cswap);
 }
 
+// ---- Forking levels ----
+//
+// Segments larger than `block` split at a public point (a function of n alone) and
+// hand their two independent halves to TraceForkJoinHalves, which runs them in
+// parallel while the thread budget lasts and merges their trace buffers in
+// sequential order.
+
 template <typename CSwap>
-void BitonicBlockedMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, size_t block,
+void BitonicNetworkMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, size_t block,
                          int threads) {
   if (n <= block) {
     // Tile-granularity span (tracer detail >= 2 only). `lo` and `n` are public
@@ -199,17 +181,17 @@ void BitonicBlockedMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, size
   for (size_t i = lo; i < lo + n - m; ++i) {
     cswap(i, i + m, asc);
   }
-  TraceForkJoinHalves([&] { BitonicBlockedMerge(lo, m, asc, cswap, block, threads / 2); },
+  TraceForkJoinHalves([&] { BitonicNetworkMerge(lo, m, asc, cswap, block, threads / 2); },
                       [&] {
-                        BitonicBlockedMerge(lo + m, n - m, asc, cswap, block,
+                        BitonicNetworkMerge(lo + m, n - m, asc, cswap, block,
                                             threads - threads / 2);
                       },
                       threads);
 }
 
 template <typename CSwap>
-void BitonicBlockedSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, size_t block,
-                           int threads) {
+void BitonicNetworkSort(size_t lo, size_t n, bool asc, const CSwap& cswap, size_t block,
+                        int threads) {
   if (n <= block) {
     TraceSpan tile(TraceTilesEnabled() ? &Tracer::Global() : nullptr, "tile",
                    "sort_tile", lo);
@@ -218,44 +200,37 @@ void BitonicBlockedSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, si
     return;
   }
   const size_t m = n / 2;
-  TraceForkJoinHalves([&] { BitonicBlockedSortRec(lo, m, !asc, cswap, block, threads / 2); },
+  TraceForkJoinHalves([&] { BitonicNetworkSort(lo, m, !asc, cswap, block, threads / 2); },
                       [&] {
-                        BitonicBlockedSortRec(lo + m, n - m, asc, cswap, block,
-                                              threads - threads / 2);
+                        BitonicNetworkSort(lo + m, n - m, asc, cswap, block,
+                                           threads - threads / 2);
                       },
                       threads);
-  BitonicBlockedMerge(lo, n, asc, cswap, block, threads);
+  BitonicNetworkMerge(lo, n, asc, cswap, block, threads);
 }
 
 }  // namespace internal
 
 // Runs the bitonic network over n elements. `cswap(i, j, asc)` must compare the
 // elements at positions i < j and swap them (obliviously) so that they end up in
-// ascending order if asc, descending otherwise. `threads` bounds the number of
-// concurrently running workers (1 = fully sequential).
+// ascending order if asc, descending otherwise. Segments of at most `block_records`
+// run on the non-forking tile path (callers derive it from their record size with
+// SortBlockRecords; values below 1 mean 1, i.e. forking recursion all the way down).
+// `threads` bounds the number of concurrently running workers (1 = fully
+// sequential). The cswap sequence is the same for every block size and thread count.
 template <typename CSwap>
-void RunBitonicNetwork(size_t n, const CSwap& cswap, int threads = 1) {
-  internal::BitonicSortRec(0, n, /*asc=*/true, cswap, threads < 1 ? 1 : threads);
-}
-
-// Cache-blocked variant: identical compare-swap sequence (see the tile-executor note
-// above), with segments of at most `block_records` executed by the non-forking tile
-// path. `block_records` is public geometry; 0 means "no blocking" (tiles of 1, i.e.
-// plain recursion all the way down).
-template <typename CSwap>
-void RunBitonicNetworkBlocked(size_t n, size_t block_records, const CSwap& cswap,
-                              int threads = 1) {
+void RunBitonicNetwork(size_t n, size_t block_records, const CSwap& cswap, int threads = 1) {
   const size_t block = block_records < 1 ? 1 : block_records;
-  internal::BitonicBlockedSortRec(0, n, /*asc=*/true, cswap, block,
-                                  threads < 1 ? 1 : threads);
+  internal::BitonicNetworkSort(0, n, /*asc=*/true, cswap, block, threads < 1 ? 1 : threads);
 }
 
 // Sorts a span of trivially-copyable records in place. `less(a, b)` must be a
-// branchless strict weak ordering returning SecretBool (see obl/secret.h).
+// branchless strict weak ordering returning SecretBool (see obl/secret.h). The tile
+// is the default L1 geometry for sizeof(T) (see BitonicSortSlab).
 template <typename T, typename Less>
 void BitonicSort(std::span<T> data, const Less& less, int threads = 1) {
   RunBitonicNetwork(
-      data.size(),
+      data.size(), SortBlockRecordsShared(sizeof(T), SortTileSharers(threads)),
       [&](size_t i, size_t j, bool asc) {
         TraceRecord(TraceOp::kCondSwap, i, j);
         const SecretBool out_of_order = asc ? less(data[j], data[i]) : less(data[i], data[j]);
@@ -267,39 +242,24 @@ void BitonicSort(std::span<T> data, const Less& less, int threads = 1) {
 // Sorts a ByteSlab of records in place; `less(a, b)` receives raw record pointers and
 // must be branchless, returning SecretBool. Record moves go through the dispatching
 // SIMD kernels (obl/kernels.h); the mask is derived once per compare.
+//
+// Execution is L1-tiled. `block_records = 0` selects the default tile: the record
+// stride's share of the L1 tile budget (kernels.h), divided among the sort threads
+// that timeshare a core when `threads` exceeds the core count (SortTileSharers) --
+// blind L1-sized tiles under oversubscription thrash on every context switch. Block
+// geometry is a pure function of public values (stride, threads, core count), so for
+// a fixed configuration it is identical across runs and epoch thread counts.
+// Callers may pass an explicit block_records to override (benches sweep it; 1 runs
+// the forking recursion all the way down).
 template <typename Less>
-void BitonicSortSlab(ByteSlab& slab, const Less& less, int threads = 1) {
-  const size_t stride = slab.record_bytes();
-  uint8_t* base = slab.data();
-  RunBitonicNetwork(
-      slab.size(),
-      [&](size_t i, size_t j, bool asc) {
-        TraceRecord(TraceOp::kCondSwap, i, j);
-        uint8_t* a = base + i * stride;
-        uint8_t* b = base + j * stride;
-        const SecretBool out_of_order = asc ? less(b, a) : less(a, b);
-        KernelCondSwapBytes(out_of_order, a, b, stride);
-      },
-      threads);
-}
-
-// Cache-blocked slab sort: same trace, same result, L1-tiled execution. The default
-// block comes from the record stride and the shared L1 tile budget (kernels.h),
-// divided among the sort threads that timeshare a core when `threads` exceeds the
-// core count (SortTileSharers) -- blind L1-sized tiles under oversubscription thrash
-// on every context switch. Block geometry is a pure function of public values
-// (stride, threads, core count), so for a fixed configuration it is identical across
-// runs and epoch thread counts. Callers may pass an explicit block_records to
-// override (benches sweep it).
-template <typename Less>
-void BitonicSortSlabBlocked(ByteSlab& slab, const Less& less, int threads = 1,
-                            size_t block_records = 0) {
+void BitonicSortSlab(ByteSlab& slab, const Less& less, int threads = 1,
+                     size_t block_records = 0) {
   const size_t stride = slab.record_bytes();
   const size_t block = block_records > 0
                            ? block_records
                            : SortBlockRecordsShared(stride, SortTileSharers(threads));
   uint8_t* base = slab.data();
-  RunBitonicNetworkBlocked(
+  RunBitonicNetwork(
       slab.size(), block,
       [&](size_t i, size_t j, bool asc) {
         TraceRecord(TraceOp::kCondSwap, i, j);
@@ -313,7 +273,7 @@ void BitonicSortSlabBlocked(ByteSlab& slab, const Less& less, int threads = 1,
 
 // The adaptive policy from the paper (Figure 13a): below a size threshold the thread
 // coordination overhead dominates, so fall back to a single thread. The threshold is
-// derived from the blocked tile geometry -- forking pays off once the sort spans many
+// derived from the tile geometry -- forking pays off once the sort spans many
 // L1 tiles -- rather than a bare constant; for the paper's 208-byte records this
 // yields 128 tiles * 64 records = 8192, the empirical knee in Figure 13a.
 inline int AdaptiveSortThreads(size_t n, int max_threads, size_t record_bytes = 208) {

@@ -19,23 +19,6 @@ namespace snoopy {
 
 namespace {
 
-// Crossover constants for the kAuto pass-count model. These mirror the sim's
-// calibrated CostModelConfig ([A4] anchors): kSortBlockedDiscount is
-// CostModelConfig::sort_blocked_discount (the relative cost of an L1-tile-resident
-// compare-exchange pass), kRouteTagBytes is the per-level per-record routing
-// traffic — the butterfly moves only the 8-byte (label, index) tag, gather plus
-// split — so a routing level costs kRouteTagBytes / record_bytes of a streaming
-// record pass, and kCleanupLocalityDiscount reflects that cleanup sorts run over
-// single buckets that stay cache-resident. CostModel::BucketSortSeconds
-// (src/sim/cost_model.cc) prices epochs with the same algebra.
-constexpr double kSortBlockedDiscount = 0.55;
-constexpr double kRouteTagBytes = 16.0;
-// Whole-record passes outside the butterfly: label extraction + tag scatter,
-// the materialization gather, and the sorted emission.
-constexpr double kBucketFixedPasses = 2.5;
-constexpr double kCleanupLocalityDiscount = 0.7;
-constexpr double kAutoSafetyMargin = 1.15;
-
 // Below this the arena setup and per-pair scratch dominate any comparator savings
 // (same knee as AdaptiveSortThreads' parallel threshold).
 constexpr uint64_t kMinBucketRecords = 4096;
@@ -46,6 +29,12 @@ constexpr uint64_t kMinBucketRecords = 4096;
 // keeping cleanup sorts cache-resident. The geometry search below still verifies
 // the exact bound and shrinks B further when needed.
 constexpr uint64_t kMinMeanLoad = 256;
+
+// Fewest buckets the geometry search accepts: two butterfly levels. At B = 2 the
+// routing is one merge-split and the cleanup sorts two halves of the input with
+// the bitonic network, which measured slower than one bitonic sort of the whole
+// input (DESIGN.md "Oblivious sorting").
+constexpr uint64_t kMinBuckets = 4;
 
 uint32_t FloorLog2(uint64_t v) {
   uint32_t l = 0;
@@ -100,15 +89,25 @@ const char* SortStrategyName(SortStrategy s) {
       return "bitonic";
     case SortStrategy::kBucket:
       return "bucket";
-    case SortStrategy::kAuto:
-      return "auto";
   }
   return "unknown";
 }
 
+SortStrategy ApplySortStrategyOverride(SortStrategy configured) {
+  if (const char* env = std::getenv("SNOOPY_SORT_STRATEGY")) {
+    if (std::strcmp(env, "bitonic") == 0) {
+      return SortStrategy::kBitonic;
+    }
+    if (std::strcmp(env, "bucket") == 0) {
+      return SortStrategy::kBucket;
+    }
+  }
+  return configured;
+}
+
 BucketSortParams ChooseBucketParams(uint64_t n, uint64_t num_bins, uint32_t lambda) {
   BucketSortParams out;
-  if (n < kMinBucketRecords || num_bins < 2) {
+  if (n < kMinBucketRecords || num_bins < kMinBuckets) {
     return out;
   }
 
@@ -125,10 +124,11 @@ BucketSortParams ChooseBucketParams(uint64_t n, uint64_t num_bins, uint32_t lamb
 
   // Largest power-of-two bucket count that keeps the mean load >= kMinMeanLoad and
   // aggregates whole bins (B <= num_bins keeps the collapse monotone AND useful);
-  // halve until the exact union bound clears 2^-lambda.
+  // halve until the exact union bound clears 2^-lambda, down to kMinBuckets.
   const uint64_t cap = std::min<uint64_t>(num_bins, n / kMinMeanLoad);
   const double budget = std::ldexp(1.0, -static_cast<int>(lambda));
-  for (uint64_t b = cap >= 2 ? uint64_t{1} << FloorLog2(cap) : 0; b >= 2; b /= 2) {
+  for (uint64_t b = cap >= kMinBuckets ? uint64_t{1} << FloorLog2(cap) : 0;
+       b >= kMinBuckets; b /= 2) {
     const uint64_t q = (n + b - 1) / b;
     const uint64_t z = 2 * q;
     const uint32_t levels = FloorLog2(b);
@@ -146,63 +146,15 @@ BucketSortParams ChooseBucketParams(uint64_t n, uint64_t num_bins, uint32_t lamb
   return out;
 }
 
-double BitonicSortPassesPerElement(uint64_t n, size_t record_bytes) {
-  if (n < 2) {
-    return 0.0;
-  }
-  // The blocked-execution algebra from CostModel::BitonicSortSeconds: of the
-  // L(L+1)/2 compare-exchange passes, the tile-resident ones cost
-  // kSortBlockedDiscount relative to a streaming pass.
-  const double lg = std::log2(static_cast<double>(n));
-  const double lb = std::min(
-      lg, std::log2(static_cast<double>(SortBlockRecords(record_bytes))));
-  const double total_passes = lg * (lg + 1.0) / 2.0;
-  const double tile_passes = lb * (lb + 1.0) / 2.0 + (lg - lb) * lb;
-  const double tile_fraction = total_passes > 0.0 ? tile_passes / total_passes : 0.0;
-  const double blocked_factor =
-      (1.0 - tile_fraction) + tile_fraction * kSortBlockedDiscount;
-  return blocked_factor * total_passes;
-}
-
-double BucketSortPassesPerElement(uint64_t n, size_t record_bytes,
-                                  const BucketSortParams& params) {
-  (void)n;
-  if (!params.ok) {
-    return 1e30;  // never selected
-  }
-  const double mean_load =
-      std::max(2.0, static_cast<double>(params.capacity) / 2.0);
-  const double lz = std::log2(mean_load);
-  const double cleanup_passes = lz * (lz + 1.0) / 2.0;
-  const double route_passes = static_cast<double>(params.levels) * kRouteTagBytes /
-                              std::max(1.0, static_cast<double>(record_bytes));
-  return route_passes + kBucketFixedPasses +
-         kCleanupLocalityDiscount * cleanup_passes;
-}
-
-SortStrategy ResolveSortStrategy(SortStrategy configured, uint64_t n, size_t record_bytes,
-                                 const SortBinSpec* spec, BucketSortParams* params) {
-  SortStrategy s = configured;
-  if (const char* env = std::getenv("SNOOPY_SORT_STRATEGY")) {
-    if (std::strcmp(env, "bitonic") == 0) {
-      s = SortStrategy::kBitonic;
-    } else if (std::strcmp(env, "bucket") == 0) {
-      s = SortStrategy::kBucket;
-    } else if (std::strcmp(env, "auto") == 0) {
-      s = SortStrategy::kAuto;
-    }
-  }
-  if (s == SortStrategy::kBitonic || spec == nullptr || !spec->bins_simulatable ||
-      spec->num_bins < 2 || n < kMinBucketRecords || n > UINT32_MAX) {
+SortStrategy ResolveSortStrategy(SortStrategy configured, uint64_t n,
+                                 size_t /*record_bytes*/, const SortBinSpec* spec,
+                                 BucketSortParams* params) {
+  if (ApplySortStrategyOverride(configured) == SortStrategy::kBitonic || spec == nullptr ||
+      !spec->bins_simulatable || n > UINT32_MAX) {
     return SortStrategy::kBitonic;
   }
-  BucketSortParams chosen = ChooseBucketParams(n, spec->num_bins, spec->lambda);
+  const BucketSortParams chosen = ChooseBucketParams(n, spec->num_bins, spec->lambda);
   if (!chosen.ok) {
-    return SortStrategy::kBitonic;
-  }
-  if (s == SortStrategy::kAuto &&
-      BucketSortPassesPerElement(n, record_bytes, chosen) * kAutoSafetyMargin >=
-          BitonicSortPassesPerElement(n, record_bytes)) {
     return SortStrategy::kBitonic;
   }
   if (params != nullptr) {

@@ -3,7 +3,7 @@
 // hot sort call sites route through.
 //
 // The O(n log^2 n) bitonic network (bitonic_sort.h) compares every pair the network
-// names regardless of the data; once the blocked executor has squeezed the constant
+// names regardless of the data; once the L1-tiled executor has squeezed the constant
 // factors, the comparator count itself is the binding term. The bucket sort gets to
 // O(n log n) by exploiting that every hot Snoopy sort is a sort *by a keyed-hash bin
 // tag*: 8-byte (label, input-index) tags are routed to B fixed-capacity buckets
@@ -49,17 +49,23 @@
 
 namespace snoopy {
 
-// Which oblivious sort implementation a deployment runs on the hot paths.
-// kAuto picks per call site from the pass-count crossover (below) using the same
-// constants the sim's cost model is calibrated with; SNOOPY_SORT_STRATEGY
-// ({bitonic, bucket, auto}) overrides the configured value at runtime.
+// Which oblivious sort implementation a deployment runs on the hot paths. kBucket
+// runs the bucket sort wherever a call site is eligible (simulatable bins, viable
+// geometry with at least two butterfly levels) and the bitonic network everywhere
+// else; kBitonic runs the bitonic network everywhere. SNOOPY_SORT_STRATEGY
+// ({bitonic, bucket}) overrides the configured value at runtime.
 enum class SortStrategy : uint8_t {
   kBitonic = 0,
   kBucket = 1,
-  kAuto = 2,
 };
 
 const char* SortStrategyName(SortStrategy s);
+
+// The configured strategy with the SNOOPY_SORT_STRATEGY override applied: "bitonic"
+// or "bucket" replace `configured`; an unset or unrecognized value leaves it as is.
+// ResolveSortStrategy applies it first; benches use it to stamp the strategy a run
+// was configured with.
+SortStrategy ApplySortStrategyOverride(SortStrategy configured);
 
 // Describes the bin tag that makes a slab sort bucket-eligible. The sort orders
 // records by (bin, caller's within-bin order); `bin` is a uint32 field at
@@ -75,8 +81,9 @@ struct SortBinSpec {
 };
 
 // Public butterfly geometry for a bucket sort of n records tagged with num_bins
-// bins. `ok` is false when no geometry meets the overflow bound (or n/num_bins are
-// too small for the routing to pay off) — callers then fall back to bitonic.
+// bins. `ok` is false when no geometry with at least two butterfly levels (B >= 4)
+// meets the overflow bound, or n/num_bins are too small for the routing to pay off —
+// callers then fall back to bitonic.
 struct BucketSortParams {
   uint64_t buckets = 0;   // B: power of two
   uint64_t capacity = 0;  // Z: slots per bucket, 2 * ceil(n / B)
@@ -84,18 +91,20 @@ struct BucketSortParams {
   bool ok = false;
 };
 
-// Chooses (B, Z) such that the union bound over all butterfly levels of the
-// per-bucket binomial overflow tails stays under 2^-lambda (src/analysis/binomial).
-// Results are memoized per (n, num_bins, lambda); geometry search is pure public
-// arithmetic.
+// Chooses (B, Z) with B >= 4 such that the union bound over all butterfly levels of
+// the per-bucket binomial overflow tails stays under 2^-lambda
+// (src/analysis/binomial). A single-level butterfly (B = 2) is never chosen: its two
+// half-size cleanup sorts cost about as much as one bitonic sort of the whole input
+// and measured slower at every thread count (DESIGN.md "Oblivious sorting"). Results
+// are memoized per (n, num_bins, lambda); geometry search is pure public arithmetic.
 BucketSortParams ChooseBucketParams(uint64_t n, uint64_t num_bins, uint32_t lambda);
 
-// Resolves a configured strategy to a concrete one (never kAuto) for a sort of n
-// records of `record_bytes` each. `spec` may be null (no bin tag: plain comparator
-// sorts are always bitonic). Applies the SNOOPY_SORT_STRATEGY environment override,
-// the eligibility gates (bins_simulatable, viable geometry), and — for kAuto — the
-// compare-pass crossover mirrored from the cost model's measured constants. When
-// kBucket is returned, *params holds the chosen geometry.
+// Resolves a configured strategy for a sort of n records of `record_bytes` each.
+// `spec` may be null (no bin tag: plain comparator sorts are always bitonic).
+// Applies the SNOOPY_SORT_STRATEGY environment override, then the eligibility gates
+// (bins_simulatable, viable geometry). The record size does not enter the decision:
+// eligibility is a function of (n, num_bins, lambda) alone. When kBucket is
+// returned, *params holds the chosen geometry.
 SortStrategy ResolveSortStrategy(SortStrategy configured, uint64_t n, size_t record_bytes,
                                  const SortBinSpec* spec, BucketSortParams* params);
 
@@ -118,12 +127,6 @@ uint64_t ResolveSortStrategyPacked(uint8_t configured, uint64_t n, uint64_t reco
 // copy of the caller's functor.
 using SortLessFn = SecretBool (*)(const void* ctx, const uint8_t* a, const uint8_t* b);
 
-// Compare-pass-per-element estimates behind the kAuto crossover. Exposed for the
-// cost model (src/sim/cost_model.cc cross-references these) and tests.
-double BitonicSortPassesPerElement(uint64_t n, size_t record_bytes);
-double BucketSortPassesPerElement(uint64_t n, size_t record_bytes,
-                                  const BucketSortParams& params);
-
 // Runs the bucket sort over the n records at `data` (stride bytes each) in place:
 // label declassification, the butterfly routing network (per-level fork-join over
 // bucket pairs on the WorkPool, budget clamped), per-bucket bitonic cleanup under
@@ -142,7 +145,7 @@ bool TryBucketSortSlab(uint8_t* data, uint64_t n, size_t stride, size_t bin_offs
 
 // Out-of-line, type-erased equivalent of the ObliviousSortSlab template below, for
 // call sites that are themselves audited end-to-end by the binary dataflow verifier
-// (reshard's TagAndSortByBin). The blocked bitonic executor's tile machinery is too
+// (reshard's TagAndSortByBin). The bitonic executor's tile machinery is too
 // much inlined state for the analyzer to track through a composite root, so — like
 // TryBucketSortSlab — this symbol is the audit boundary (noinline + allowlisted in
 // tools/ct_binary_manifest.json) and the secret-handling kernels inside it are
@@ -310,7 +313,7 @@ struct BucketCleanupCSwap {
 // ct-public: slab spec strategy threads block_records stride n packed
 // ct-public: TraceSpan SetArg span bucket_span a b ctx buckets capacity
 // ct-public: heap_less sorted Less bins_simulatable
-// ct-calls: ResolveSortStrategyPacked TryBucketSortSlab BitonicSortSlabBlocked
+// ct-calls: ResolveSortStrategyPacked TryBucketSortSlab BitonicSortSlab
 // ct-calls: LoadSecretU32 LoadSecretU64 Widen less_within_bin less
 // ct-calls: Global size record_bytes data
 // ct-calls: SortBlockRecordsShared SortTileSharers
@@ -368,7 +371,7 @@ void ObliviousSortSlab(ByteSlab& slab, const SortBinSpec& spec, const Less& less
   span.SetArg("block_records", block_records > 0 ? block_records
                                                  : SortBlockRecordsShared(
                                                        stride, SortTileSharers(threads)));
-  BitonicSortSlabBlocked(
+  BitonicSortSlab(
       slab,
       [&](const uint8_t* a, const uint8_t* b) {
         const SecretU64 abin = Widen(LoadSecretU32(a, spec.bin_offset));
@@ -380,12 +383,12 @@ void ObliviousSortSlab(ByteSlab& slab, const SortBinSpec& spec, const Less& less
 
 // Plain-comparator overload for sorts with no (simulatable) bin tag — e.g. the load
 // balancer's response-match sort, whose duplicate client keys make any keyed-hash
-// label leak multiplicities. Always resolves to the bitonic network (the configured
-// strategy and the environment override are deliberately ignored: there is no safe
-// bucket assignment to route by), but still emits the labeled "sort" span.
+// label leak multiplicities. Always runs the bitonic network (there is no safe
+// bucket assignment to route by, so it takes no strategy), but still emits the
+// labeled "sort" span.
 template <typename Less>
-void ObliviousSortSlab(ByteSlab& slab, const Less& less, SortStrategy /*strategy*/,
-                       int threads, size_t block_records = 0) {
+void ObliviousSortSlab(ByteSlab& slab, const Less& less, int threads,
+                       size_t block_records = 0) {
   TraceSpan span(&Tracer::Global(), "step", "sort");
   span.SetArg("strategy", 0);
   span.SetArg("records", slab.size());
@@ -393,7 +396,7 @@ void ObliviousSortSlab(ByteSlab& slab, const Less& less, SortStrategy /*strategy
               block_records > 0
                   ? block_records
                   : SortBlockRecordsShared(slab.record_bytes(), SortTileSharers(threads)));
-  BitonicSortSlabBlocked(slab, less, threads, block_records);
+  BitonicSortSlab(slab, less, threads, block_records);
 }
 
 // SNOOPY_OBLIVIOUS_END(oblivious_sort_entry)

@@ -82,7 +82,7 @@ size_t SortCompact(ByteSlab& slab, std::span<uint8_t> flags) {
   }
 
   const size_t block = SortBlockRecords(stride);
-  RunBitonicNetworkBlocked(n, block, [&](size_t i, size_t j, bool asc) {
+  RunBitonicNetwork(n, block, [&](size_t i, size_t j, bool asc) {
     TraceRecord(TraceOp::kCondSwap, i, j);
     const SecretBool out_of_order = asc ? rank[j] < rank[i] : rank[i] < rank[j];
     CtCondSwapBytes(out_of_order, &rank[i], &rank[j], sizeof(SecretU64));

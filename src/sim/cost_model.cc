@@ -9,6 +9,33 @@
 
 namespace snoopy {
 
+namespace {
+
+// Pass-count constants of the bucket-sort price. kRouteTagBytes is the per-level
+// per-record routing traffic — the butterfly moves only the 8-byte (label, index)
+// tag, gather plus split — so a routing level costs kRouteTagBytes / record_bytes
+// of a streaming record pass. kBucketFixedPasses counts the whole-record passes
+// outside the butterfly: label extraction + tag scatter, the materialization
+// gather, and the sorted emission. kCleanupLocalityDiscount reflects that cleanup
+// sorts run over single buckets that stay cache-resident.
+constexpr double kRouteTagBytes = 16.0;
+constexpr double kBucketFixedPasses = 2.5;
+constexpr double kCleanupLocalityDiscount = 0.7;
+
+// Streaming-equivalent compare-exchange passes per element of a bucket sort with
+// this (viable) geometry: routing levels at their tag-traffic factor, the fixed
+// record passes, and tile-resident cleanup at its locality discount.
+double BucketSortPassesPerElement(size_t record_bytes, const BucketSortParams& params) {
+  const double mean_load = std::max(2.0, static_cast<double>(params.capacity) / 2.0);
+  const double lz = std::log2(mean_load);
+  const double cleanup_passes = lz * (lz + 1.0) / 2.0;
+  const double route_passes = static_cast<double>(params.levels) * kRouteTagBytes /
+                              std::max(1.0, static_cast<double>(record_bytes));
+  return route_passes + kBucketFixedPasses + kCleanupLocalityDiscount * cleanup_passes;
+}
+
+}  // namespace
+
 double CostModel::ThreadScale(int threads) const {
   if (threads <= 1) {
     return 1.0;
@@ -47,13 +74,11 @@ double CostModel::BucketSortSeconds(uint64_t n, size_t record_bytes, uint64_t nu
   if (!params.ok) {
     return BitonicSortSeconds(n, record_bytes, threads);
   }
-  // BucketSortPassesPerElement counts streaming-equivalent compare-exchange passes
-  // (routing levels at their merge-split factor, fixed label/emission passes, and
-  // tile-resident cleanup at its locality discount). Calibrate the per-pass unit
-  // cost against the bitonic anchor: BitonicSortSeconds charges sort_ns_per_byte
-  // per byte per lg^2, i.e. lg^2 / (L(L+1)/2) ~= 2 units per streaming pass.
+  // Calibrate the per-pass unit cost against the bitonic anchor: BitonicSortSeconds
+  // charges sort_ns_per_byte per byte per lg^2, i.e. lg^2 / (L(L+1)/2) ~= 2 units
+  // per streaming pass.
   const double bytes = static_cast<double>(n) * static_cast<double>(record_bytes);
-  const double passes = BucketSortPassesPerElement(n, record_bytes, params);
+  const double passes = BucketSortPassesPerElement(record_bytes, params);
   return 2.0 * config_.sort_ns_per_byte * bytes * passes * 1e-9 * ThreadScale(threads);
 }
 

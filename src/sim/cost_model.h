@@ -59,7 +59,7 @@ struct CostModelConfig {
   double cmp_ns_per_value_byte = 0.018;
   // Bitonic sort: ns per byte per log2^2(n) factor [A4].
   double sort_ns_per_byte = 0.18;
-  // Cache-blocked sort (RunBitonicNetworkBlocked): tile geometry shared with the
+  // L1-tiled bitonic sort (RunBitonicNetwork): tile geometry shared with the
   // implementation (src/obl/kernels.h), and the relative cost of a tile-local
   // compare-exchange pass versus a streaming one (L1-resident operands).
   size_t l1_tile_bytes = kL1TileBytes;
@@ -108,10 +108,10 @@ class CostModel {
   // --- Oblivious building blocks -------------------------------------------------
   double BitonicSortSeconds(uint64_t n, size_t record_bytes, int threads) const;
   // Bucket oblivious sort (src/obl/bucket_sort.h) over n records carrying one of
-  // num_bins simulatable bin tags, priced with the same pass algebra the kAuto
-  // crossover uses (BucketSortPassesPerElement) so model and implementation agree
-  // on where the strategies cross. Falls back to BitonicSortSeconds pricing when
-  // no routing geometry clears the 2^-lambda overflow budget.
+  // num_bins simulatable bin tags, priced as routing + fixed record passes +
+  // per-bucket cleanup. Eligibility is the runtime's own (ChooseBucketParams: at
+  // least two butterfly levels under the 2^-lambda overflow budget); where the
+  // runtime would run bitonic, this prices BitonicSortSeconds.
   double BucketSortSeconds(uint64_t n, size_t record_bytes, uint64_t num_bins,
                            int threads) const;
   double CompactSeconds(uint64_t n, size_t record_bytes, int threads) const;

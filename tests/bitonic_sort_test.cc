@@ -69,7 +69,8 @@ TEST(BitonicSort, AlreadySortedAndReversed) {
 
 TEST(BitonicSort, MultithreadedMatchesSequential) {
   Rng rng(99);
-  std::vector<Rec> a(777);
+  // Larger than the default L1 tile for 16-byte records (1024), so the sort forks.
+  std::vector<Rec> a(2777);
   for (size_t i = 0; i < a.size(); ++i) {
     a[i] = Rec{rng.Next64(), i};
   }
@@ -128,7 +129,9 @@ TEST(BitonicSort, ParallelTraceIsByteIdenticalToSequential) {
   // this test also pins the absence of the concurrent push_back.
   auto trace_for = [](int threads) {
     Rng rng(41);
-    std::vector<Rec> data(333);  // non-power-of-two: exercises the uneven split
+    // Non-power-of-two (exercises the uneven split) and several default tiles of
+    // 16-byte records wide, so the halves above the tile really run in parallel.
+    std::vector<Rec> data(3333);
     for (size_t i = 0; i < data.size(); ++i) {
       data[i] = Rec{rng.Next64(), i};
     }
@@ -147,7 +150,7 @@ TEST(BitonicSort, SlabParallelTraceIsByteIdenticalToSequential) {
   // Same property through BitonicSortSlab, the fig13a path that exposed the race.
   auto trace_for = [](int threads) {
     const size_t stride = 24;
-    ByteSlab slab(200, stride);
+    ByteSlab slab(2000, stride);  // past the default tile (512 records of 24 B)
     Rng rng(6);
     for (size_t i = 0; i < slab.size(); ++i) {
       const uint64_t key = rng.Next64();

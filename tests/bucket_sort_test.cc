@@ -6,15 +6,17 @@
 //      at sizes straddling the kMinBucketRecords knee and misaligned slab strides.
 //      With distinct (bin, key) pairs the two strategies must be BYTE-identical;
 //      with duplicates they must both be correct (sorted + same record multiset).
-//   2. Geometry/crossover unit checks for ChooseBucketParams / ResolveSortStrategy.
+//   2. Geometry/eligibility unit checks for ChooseBucketParams / ResolveSortStrategy,
+//      and the cost model's agreement with the runtime's eligibility.
 //   3. Trace identity: for each strategy, the enclave memory trace is byte-identical
 //      at sort threads {1, 2, 4}; and a full deployment's epoch trace is identical
 //      at epoch_threads {1, 2, 4} for a fixed strategy.
 //   4. Twin deployments running the same request stream under kBitonic and kBucket
 //      return identical response streams (strategy independence, ISSUE acceptance).
 //   5. Overflow fallback: labels that violate the simulatable-bins attestation make
-//      the routing overflow; release builds fall back to the bitonic network on the
-//      untouched slab and still return fully sorted output.
+//      the routing overflow; debug builds die on the assert, release builds fall
+//      back to the bitonic network on the untouched slab and still return fully
+//      sorted output.
 
 #include "src/obl/bucket_sort.h"
 
@@ -31,6 +33,7 @@
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
 #include "src/obl/slab.h"
+#include "src/sim/cost_model.h"
 
 namespace snoopy {
 namespace {
@@ -189,26 +192,42 @@ TEST(BucketSortGeometry, ResolveHonorsEligibilityGates) {
   EXPECT_EQ(packed >> 8, params.capacity);
 }
 
-TEST(BucketSortGeometry, AutoPicksBucketAtLargeNAndBitonicWhenRoutingCannotPay) {
-  // This test pins the *pure* kAuto crossover; neutralize the process-wide
-  // SNOOPY_SORT_STRATEGY override (CI reruns the whole suite with it set to
-  // bucket, which legitimately flips the few-bins case below).
+TEST(BucketSortGeometry, BucketNeedsTwoButterflyLevels) {
+  // Pins the eligibility gate itself; neutralize the process-wide
+  // SNOOPY_SORT_STRATEGY override (a forced-bitonic run would flip the bucket cells).
   const char* forced = getenv("SNOOPY_SORT_STRATEGY");
   const std::string saved = forced ? forced : "";
   ASSERT_EQ(unsetenv("SNOOPY_SORT_STRATEGY"), 0);
-  const SortBinSpec spec = SpecFor(1u << 10);
-  // At 2^20 the pass model puts bucket far ahead of even the blocked bitonic.
-  EXPECT_EQ(ResolveSortStrategy(SortStrategy::kAuto, 1u << 20, 24, &spec, nullptr),
-            SortStrategy::kBucket);
-  // Below the knee the eligibility gate alone keeps bitonic.
-  EXPECT_EQ(ResolveSortStrategy(SortStrategy::kAuto, 2048, 24, &spec, nullptr),
-            SortStrategy::kBitonic);
-  // Few bins => at most a couple of butterfly levels and huge per-bucket cleanup
-  // sorts: the crossover model (with its safety margin) keeps bitonic even though
-  // the geometry is viable.
-  const SortBinSpec few_bins = SpecFor(4);
-  EXPECT_EQ(ResolveSortStrategy(SortStrategy::kAuto, 4096, 24, &few_bins, nullptr),
-            SortStrategy::kBitonic);
+  const CostModel model;
+  const size_t record_bytes = 208;
+  for (const uint64_t n : {uint64_t{4096}, uint64_t{1} << 14, uint64_t{1} << 18}) {
+    // 2-4 bins: the only geometry that clears the overflow bound is a single
+    // butterfly level (B = 2), which the gate rejects.
+    for (const uint64_t bins : {uint64_t{2}, uint64_t{3}, uint64_t{4}}) {
+      const SortBinSpec spec = SpecFor(bins);
+      EXPECT_FALSE(ChooseBucketParams(n, bins, 40).ok) << "n=" << n << " bins=" << bins;
+      EXPECT_EQ(ResolveSortStrategy(SortStrategy::kBucket, n, record_bytes, &spec, nullptr),
+                SortStrategy::kBitonic)
+          << "n=" << n << " bins=" << bins;
+      EXPECT_EQ(model.BucketSortSeconds(n, record_bytes, bins, 1),
+                model.BitonicSortSeconds(n, record_bytes, 1))
+          << "n=" << n << " bins=" << bins;
+    }
+    // Enough bins for B >= 4: forced bucket resolves to bucket, and the model prices
+    // the bucket sort rather than the bitonic fallback.
+    for (const uint64_t bins : {uint64_t{16}, uint64_t{64}, uint64_t{1} << 16}) {
+      const SortBinSpec spec = SpecFor(bins);
+      BucketSortParams params;
+      EXPECT_EQ(ResolveSortStrategy(SortStrategy::kBucket, n, record_bytes, &spec, &params),
+                SortStrategy::kBucket)
+          << "n=" << n << " bins=" << bins;
+      EXPECT_GE(params.buckets, 4u) << "n=" << n << " bins=" << bins;
+      EXPECT_GE(params.levels, 2u) << "n=" << n << " bins=" << bins;
+      EXPECT_NE(model.BucketSortSeconds(n, record_bytes, bins, 1),
+                model.BitonicSortSeconds(n, record_bytes, 1))
+          << "n=" << n << " bins=" << bins;
+    }
+  }
   if (forced != nullptr) {
     ASSERT_EQ(setenv("SNOOPY_SORT_STRATEGY", saved.c_str(), 1), 0);
   }
@@ -216,6 +235,15 @@ TEST(BucketSortGeometry, AutoPicksBucketAtLargeNAndBitonicWhenRoutingCannotPay) 
 
 class BucketSortDifferential
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+#ifndef NDEBUG
+// True iff a SortWith call of this shape runs the butterfly (SNOOPY_SORT_STRATEGY
+// applied, as the sort itself applies it).
+bool Routes(SortStrategy strategy, size_t n, size_t stride, uint64_t num_bins) {
+  const SortBinSpec spec = SpecFor(num_bins);
+  return ResolveSortStrategy(strategy, n, stride, &spec, nullptr) == SortStrategy::kBucket;
+}
+#endif  // NDEBUG
 
 TEST_P(BucketSortDifferential, MatchesBitonicAndReference) {
   const size_t n = std::get<0>(GetParam());
@@ -226,6 +254,23 @@ TEST_P(BucketSortDifferential, MatchesBitonicAndReference) {
         KeyShape::kDuplicateHeavy, KeyShape::kSingleBin}) {
     const uint64_t seed = n * 131 + stride * 7 + static_cast<uint64_t>(shape);
     const ByteSlab input = MakeSlab(n, stride, num_bins, shape, seed);
+#ifndef NDEBUG
+    // Every record in bin 0 breaks the simulatable-bins attestation, so a sort that
+    // routes overflows a bucket: debug builds treat that as fatal. Release builds
+    // fall back to the bitonic network, which the checks below cover.
+    if (shape == KeyShape::kSingleBin && (Routes(SortStrategy::kBitonic, n, stride, num_bins) ||
+                                          Routes(SortStrategy::kBucket, n, stride, num_bins))) {
+      ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+      for (const SortStrategy strategy : {SortStrategy::kBitonic, SortStrategy::kBucket}) {
+        if (Routes(strategy, n, stride, num_bins)) {
+          ByteSlab slab = input;
+          EXPECT_DEATH(SortWith(slab, num_bins, strategy, 1), "route overflow")
+              << "strategy=" << SortStrategyName(strategy) << " n=" << n;
+        }
+      }
+      continue;
+    }
+#endif  // NDEBUG
 
     ByteSlab bitonic = input;
     SortWith(bitonic, num_bins, SortStrategy::kBitonic, 1);

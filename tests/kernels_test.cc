@@ -396,13 +396,64 @@ TEST(Kernels, SortBlockRecordsDerivation) {
   EXPECT_GE(AdaptiveSortThreads(128 * SortBlockRecords(208), 4, 208), 1);
 }
 
-// --- Trace identity: generic vs SIMD vs blocked ----------------------------------
+// --- Trace identity: generic vs SIMD vs tile size ---------------------------------
+
+// Test-local reference of the bitonic network for arbitrary n: the (i, j, asc)
+// compare-swap sequence of the plain depth-first recursion (sort both halves in
+// opposite directions, then merge by the greatest power of two below the segment),
+// written independently of src/obl/bitonic_sort.h.
+struct RefCSwap {
+  size_t i;
+  size_t j;
+  bool asc;
+};
+
+void RefMerge(size_t lo, size_t n, bool asc, std::vector<RefCSwap>& out) {
+  if (n <= 1) {
+    return;
+  }
+  size_t m = 1;
+  while (m * 2 < n) {
+    m *= 2;
+  }
+  for (size_t i = lo; i < lo + n - m; ++i) {
+    out.push_back(RefCSwap{i, i + m, asc});
+  }
+  RefMerge(lo, m, asc, out);
+  RefMerge(lo + m, n - m, asc, out);
+}
+
+void RefSort(size_t lo, size_t n, bool asc, std::vector<RefCSwap>& out) {
+  if (n <= 1) {
+    return;
+  }
+  const size_t m = n / 2;
+  RefSort(lo, m, !asc, out);
+  RefSort(lo + m, n - m, asc, out);
+  RefMerge(lo, n, asc, out);
+}
+
+std::vector<RefCSwap> ReferenceNetwork(size_t n) {
+  std::vector<RefCSwap> out;
+  RefSort(0, n, /*asc=*/true, out);
+  return out;
+}
+
+std::vector<TraceEvent> ReferenceSlabSortTrace(size_t n) {
+  std::vector<TraceEvent> out;
+  for (const RefCSwap& c : ReferenceNetwork(n)) {
+    out.push_back(TraceEvent{TraceOp::kCondSwap, c.i, c.j});
+  }
+  return out;
+}
+
+constexpr size_t kTraceSortRecords = 333;  // non-power-of-two records
 
 std::vector<TraceEvent> SlabSortTrace(KernelBackend backend, int threads,
-                                      size_t block_records, bool blocked) {
+                                      size_t block_records) {
   BackendGuard guard;
   SetKernelBackend(backend);
-  ByteSlab slab(333, 24);  // non-power-of-two records, 24B stride
+  ByteSlab slab(kTraceSortRecords, 24);  // 24B stride
   Rng rng(7);
   for (size_t i = 0; i < slab.size(); ++i) {
     const uint64_t key = rng.Next64();
@@ -412,34 +463,44 @@ std::vector<TraceEvent> SlabSortTrace(KernelBackend backend, int threads,
     return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
   };
   TraceScope scope;
-  if (blocked) {
-    BitonicSortSlabBlocked(slab, less, threads, block_records);
-  } else {
-    BitonicSortSlab(slab, less, threads);
-  }
+  BitonicSortSlab(slab, less, threads, block_records);
   return scope.Events();
 }
 
 TEST(KernelTrace, SlabSortTraceIdenticalAcrossBackends) {
-  const std::vector<TraceEvent> reference =
-      SlabSortTrace(KernelBackend::kGeneric, 1, 0, /*blocked=*/false);
+  const std::vector<TraceEvent> reference = SlabSortTrace(KernelBackend::kGeneric, 1, 0);
   for (const KernelBackend backend : SupportedKernelBackends()) {
-    EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 1, 0, false)))
+    EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 1, 0)))
         << KernelBackendName(backend);
   }
 }
 
 TEST(KernelTrace, BlockedSortTraceIdenticalAcrossBlockSizesAndBackends) {
-  // The blocked executor replays the depth-first recursion order exactly, so the
-  // trace must be byte-identical to the unblocked network for EVERY public tile size
-  // and backend, single- and multi-threaded.
-  const std::vector<TraceEvent> reference =
-      SlabSortTrace(KernelBackend::kGeneric, 1, 0, /*blocked=*/false);
+  // The tile path replays the forking levels' recursion order exactly, so the
+  // (i, j, asc) sequence must be the reference network's for EVERY public tile size
+  // (1 = no tile path, 0 = the default tile), and the slab sort's trace must match
+  // it on every backend, single- and multi-threaded.
+  const std::vector<RefCSwap> network = ReferenceNetwork(kTraceSortRecords);
+  for (const size_t block :
+       {size_t{1}, size_t{2}, size_t{4}, size_t{16}, size_t{64}, size_t{1024}}) {
+    std::vector<RefCSwap> got;
+    RunBitonicNetwork(kTraceSortRecords, block, [&](size_t i, size_t j, bool asc) {
+      got.push_back(RefCSwap{i, j, asc});
+    });
+    ASSERT_EQ(got.size(), network.size()) << "block=" << block;
+    for (size_t k = 0; k < got.size(); ++k) {
+      ASSERT_TRUE(got[k].i == network[k].i && got[k].j == network[k].j &&
+                  got[k].asc == network[k].asc)
+          << "block=" << block << " cswap " << k;
+    }
+  }
+  const std::vector<TraceEvent> reference = ReferenceSlabSortTrace(kTraceSortRecords);
   for (const KernelBackend backend : SupportedKernelBackends()) {
-    for (const size_t block : {size_t{2}, size_t{4}, size_t{16}, size_t{64}, size_t{1024}}) {
-      EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 1, block, true)))
+    for (const size_t block :
+         {size_t{0}, size_t{1}, size_t{2}, size_t{4}, size_t{16}, size_t{64}, size_t{1024}}) {
+      EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 1, block)))
           << KernelBackendName(backend) << " block=" << block;
-      EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 3, block, true)))
+      EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 3, block)))
           << KernelBackendName(backend) << " block=" << block << " threads=3";
     }
   }
@@ -456,7 +517,7 @@ TEST(BlockedSort, SortsCorrectlyAtAwkwardSizes) {
         keys[i] = rng.Next64();
         std::memcpy(slab.Record(i), &keys[i], 8);
       }
-      BitonicSortSlabBlocked(
+      BitonicSortSlab(
           slab,
           [](const uint8_t* a, const uint8_t* b) {
             return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);

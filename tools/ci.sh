@@ -4,9 +4,11 @@
 #   tools/ci.sh            # everything
 #   tools/ci.sh --fast     # skip the perfbench smoke and the sanitizer builds
 #
-# Builds out-of-tree under build/ (default config), build-asan/ (ASan+UBSan), and
-# build-tsan/ (TSan, threading-sensitive tests only), so a developer's existing build
-# directory is reused, not clobbered.
+# Builds out-of-tree under build/ (default config), build-asan/ (Debug: assertions
+# on, ASan+UBSan, halting on the first UBSan report), and build-tsan/ (TSan,
+# threading-sensitive tests only), so a developer's existing build directory is
+# reused, not clobbered. Every `ctest -R` filter runs with --no-tests=error: a
+# filter that matches nothing fails the stage instead of passing vacuously.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,12 +58,14 @@ cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure
 
 echo "== forced-bucket sort strategy (full suite) =="
-# SNOOPY_SORT_STRATEGY=bucket overrides every deployment's configured strategy at
-# the ResolveSortStrategy gate, so the whole suite reruns with the bucket sort on
-# every eligible hot path (ineligible sites -- too small, bins not simulatable --
-# still fall back to bitonic, which is itself pinned by the override tests).
-# Responses and traces must be byte-identical to the default run's expectations:
-# any strategy-dependent behavior is a bug this stage exists to catch.
+# SNOOPY_SORT_STRATEGY=bucket overrides every configured strategy at the
+# ResolveSortStrategy gate. Deployments already default to bucket, but the
+# component configs (LoadBalancerConfig, SubOramConfig, bin placement, reshard,
+# the hash table) default to bitonic and many tests build those directly; this
+# rerun puts the bucket sort on every eligible sort site in the suite (ineligible
+# sites -- too small, bins not simulatable, fewer than 4 buckets -- still run
+# bitonic). Responses and traces must be byte-identical to the default run's
+# expectations: any strategy-dependent behavior is a bug this stage exists to catch.
 SNOOPY_SORT_STRATEGY=bucket ctest --test-dir build --output-on-failure
 
 echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
@@ -71,7 +75,7 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # happens to select. The crypto suites are named one by one (SHA-256 takes its
 # SHA-NI path off the same dispatch; ChaCha20 its vector keystream), and Striping
 # covers the per-chunk stripe digests.
-SNOOPY_FORCE_GENERIC_KERNELS=1 ctest --test-dir build --output-on-failure \
+SNOOPY_FORCE_GENERIC_KERNELS=1 ctest --test-dir build --output-on-failure --no-tests=error \
   -R '(Primitives|Kernel|BitonicSort|Compaction|BinPlacement|HashTable|SubOram|Sha256|Hmac|ChaCha20|Poly1305|Aead|Striping)'
 
 echo "== lint target (clang-tidy when installed) =="
@@ -204,10 +208,13 @@ for workload in sort_bound scan_bound durable_clients; do
   echo "perfbench smoke ok: ${workload}"
 done
 
-echo "== ASan/UBSan build + full test suite =="
-cmake -S . -B build-asan -DSNOOPY_SANITIZE=ON >/dev/null
+echo "== ASan/UBSan Debug build + full test suite =="
+# Debug, so every assert runs (the other builds are RelWithDebInfo with NDEBUG);
+# UBSan reports are fatal rather than printed and ignored.
+cmake -S . -B build-asan -DSNOOPY_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-asan -j"${JOBS}"
-ctest --test-dir build-asan --output-on-failure
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir build-asan --output-on-failure
 
 echo "== TSan build + threading-sensitive tests =="
 # The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
@@ -217,7 +224,7 @@ cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
   scaling_regression_test
-ctest --test-dir build-tsan --output-on-failure \
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R '(BitonicSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|ScalingRegression)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
@@ -226,7 +233,7 @@ echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # fault-recovery and repair/reshard suites under TSan so a recovery-path race cannot
 # hide behind the happy path.
 cmake --build build-tsan -j"${JOBS}" --target fault_recovery_test repair_reshard_test
-ctest --test-dir build-tsan --output-on-failure \
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R '(FaultInjector|FaultRecovery|NetworkFaults|RetryCap|Striping|Repair|Reshard|NodeLoss)'
 
 echo "ci.sh: all checks passed"
