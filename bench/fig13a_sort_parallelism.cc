@@ -11,6 +11,7 @@
 // down, the "unblocked" baseline -- on both the plain and the adaptive-thread
 // configuration, and emits the whole grid as machine-readable JSON.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -81,6 +82,17 @@ double SortTimeStrategy(size_t n, int threads, SortStrategy strategy, uint64_t s
         },
         strategy, threads);
   });
+}
+
+// Repetitions per strategy-crossover cell. Even, so that each arm runs first on
+// exactly half of them.
+constexpr int kStrategyReps = 4;
+
+// Median of the strategy arms' repetitions (mean of the middle two for an even count).
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
 }
 
 }  // namespace
@@ -163,7 +175,8 @@ int main(int argc, char** argv) {
   // knee (n < 4096) the bucket request resolves to bitonic, so those rows document
   // the fallback; past the knee the routing's pass advantage compounds with n. The
   // committed JSON is gated in tools/check_bench_schema.py: bucket must beat
-  // bitonic by >= 1.5x at the largest n on one thread.
+  // bitonic by >= 1.5x at the largest n on one thread. Each cell is the median of
+  // kStrategyReps runs per arm, the arms taking turns to run first.
   std::printf("\nstrategy crossover (record=%zuB, %llu bins, lambda=%u):\n", kRecordBytes,
               static_cast<unsigned long long>(kStrategyBins), kStrategyLambda);
   std::printf("%9s %8s | %12s %12s %9s | %13s %13s\n", "items", "threads", "bitonic(s)",
@@ -178,8 +191,27 @@ int main(int argc, char** argv) {
     const SortStrategy resolved = ResolveSortStrategy(SortStrategy::kBucket, n,
                                                       kRecordBytes, &spec, &params);
     for (const int threads : {1, 2, 4}) {
-      const double bitonic_s = SortTimeStrategy(n, threads, SortStrategy::kBitonic, n);
-      const double bucket_s = SortTimeStrategy(n, threads, SortStrategy::kBucket, n);
+      // Alternate which arm runs first on every repetition, so neither one always
+      // inherits the other's warmed caches, allocator and pool workers.
+      std::vector<double> bitonic_runs;
+      std::vector<double> bucket_runs;
+      const auto time_bitonic = [&] {
+        bitonic_runs.push_back(SortTimeStrategy(n, threads, SortStrategy::kBitonic, n));
+      };
+      const auto time_bucket = [&] {
+        bucket_runs.push_back(SortTimeStrategy(n, threads, SortStrategy::kBucket, n));
+      };
+      for (int rep = 0; rep < kStrategyReps; ++rep) {
+        if (rep % 2 == 0) {
+          time_bitonic();
+          time_bucket();
+        } else {
+          time_bucket();
+          time_bitonic();
+        }
+      }
+      const double bitonic_s = Median(bitonic_runs);
+      const double bucket_s = Median(bucket_runs);
       std::printf("%9zu %8d | %12.3f %12.3f %8.2fx | %13.3f %13.3f\n", n, threads,
                   bitonic_s, bucket_s, bucket_s > 0 ? bitonic_s / bucket_s : 0.0,
                   model.BitonicSortSeconds(n, kRecordBytes, threads),

@@ -148,9 +148,9 @@ struct PhasePoolContext {
 // Runs tasks 0..n-1 across up to `threads` workers (the calling thread included) and
 // merges every task's trace events back into the caller's sink in task-index order.
 // Each task index is a *public* id (load balancer or subORAM number), so the merge
-// order is simulatable and the merged trace is byte-identical at any thread count:
-// with threads <= 1 the tasks simply run inline in index order, which produces the
-// same event sequence the buffered merge reproduces.
+// order is simulatable and the merged trace is byte-identical at any thread count.
+// Every width runs this one path: at threads <= 1, WorkPool::Run executes the single
+// worker inline on the caller, still buffering, catching and accounting per task.
 //
 // Workers claim task indices from one shared atomic cursor. Phases have a handful of
 // tasks (one per load balancer or subORAM), so a single claim point balances them as
@@ -176,8 +176,8 @@ struct PhasePoolContext {
 // work_inflation signal the scaling-regression gates check.
 //
 // A task that throws doesn't stop its siblings (mirroring independent machines in the
-// real deployment); after the join, the lowest-index exception is rethrown so the
-// surfaced error doesn't depend on scheduling.
+// real deployment), at every width including 1; after the join, the lowest-index
+// exception is rethrown so the surfaced error doesn't depend on scheduling.
 template <typename Task>
 void RunIndexedPhase(size_t n, int threads, const PhasePoolContext& ctx,
                      const Task& task) {
@@ -194,27 +194,6 @@ void RunIndexedPhase(size_t n, int threads, const PhasePoolContext& ctx,
   std::vector<WorkerPhaseStats> stats(workers);
   // One shared queue of n tasks; record its depth once.
   stats[0].max_queue_depth = n;
-
-  if (workers <= 1) {
-    WorkerPhaseStats& st = stats[0];
-    st.start_s = pool_start;
-    for (size_t i = 0; i < n; ++i) {
-      const double task_start = now();
-      const double task_cpu_start = ThreadCpuNowSeconds();
-      {
-        TraceSpan span(tracing ? ctx.tracer : nullptr, "task", ctx.phase, i, 0);
-        task(i);
-      }
-      st.busy_ns += static_cast<uint64_t>((now() - task_start) * 1e9);
-      st.cpu_busy_ns +=
-          static_cast<uint64_t>((ThreadCpuNowSeconds() - task_cpu_start) * 1e9);
-      ++st.tasks;
-    }
-    st.finish_s = now();
-    RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, 1, pool_start,
-                      st.finish_s, stats);
-    return;
-  }
 
   // Public per-task thread grant: spare pool width divided evenly over the tasks.
   const int task_budget =
@@ -288,6 +267,27 @@ void RunIndexedPhase(size_t n, int threads, const PhasePoolContext& ctx,
   }
 }
 
+// Attested channel establishment between every load balancer and subORAM pair
+// (paper section 3.1): links[lb][so], link id lb * S + so.
+std::vector<std::vector<std::unique_ptr<SecureLink>>> AttestLinks(
+    const std::vector<std::unique_ptr<Enclave>>& lb_enclaves,
+    const std::vector<std::unique_ptr<Enclave>>& so_enclaves) {
+  const size_t num_suborams = so_enclaves.size();
+  std::vector<std::vector<std::unique_ptr<SecureLink>>> links(lb_enclaves.size());
+  for (size_t lb = 0; lb < lb_enclaves.size(); ++lb) {
+    for (size_t so = 0; so < num_suborams; ++so) {
+      const Aead::Key key = lb_enclaves[lb]->EstablishChannel(so_enclaves[so]->quote());
+      const Aead::Key check = so_enclaves[so]->EstablishChannel(lb_enclaves[lb]->quote());
+      if (key != check) {
+        throw std::runtime_error("channel key mismatch after attestation");
+      }
+      links[lb].push_back(
+          std::make_unique<SecureLink>(key, static_cast<uint32_t>(lb * num_suborams + so)));
+    }
+  }
+  return links;
+}
+
 // Default factory: the paper's throughput-optimized subORAM.
 class DefaultSubOramFactory final : public SubOramBackendFactory {
  public:
@@ -358,22 +358,11 @@ void Snoopy::Construct() {
     suborams_.push_back(factory_->Create(so, rng_.Next64()));
   }
 
-  // Attested channel establishment between every load balancer and subORAM pair
-  // (paper section 3.1), then endpoint registration on the message network.
-  links_.resize(config_.num_load_balancers);
-  link_generation_.resize(config_.num_load_balancers);
-  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    link_generation_[lb].assign(config_.num_suborams, 0);
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      const Aead::Key key = lb_enclaves_[lb]->EstablishChannel(so_enclaves_[so]->quote());
-      const Aead::Key check = so_enclaves_[so]->EstablishChannel(lb_enclaves_[lb]->quote());
-      if (key != check) {
-        throw std::runtime_error("channel key mismatch after attestation");
-      }
-      const uint32_t link_id = lb * config_.num_suborams + so;
-      links_[lb].push_back(std::make_unique<SecureLink>(key, link_id));
-    }
-  }
+  // Attested links between every load balancer and subORAM pair, then endpoint
+  // registration on the message network.
+  links_ = AttestLinks(lb_enclaves_, so_enclaves_);
+  link_generation_.assign(config_.num_load_balancers,
+                          std::vector<uint64_t>(config_.num_suborams, 0));
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     RegisterSubOramEndpoints(so);
   }
@@ -711,13 +700,7 @@ void Snoopy::RecoverSubOram(uint32_t so,
   // subORAM recoveries (parallel phase 2); each recovery touches only its own
   // subORAM's links/cache, so the key draw is the lone shared mutation.
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    std::array<uint8_t, 32> key;
-    {
-      std::lock_guard<std::mutex> g(rng_mu_);
-      key = rng_.NextKey32();
-    }
-    links_[lb][so]->Rekey(key);
-    ++link_generation_[lb][so];
+    RekeyLink(lb, so);
   }
   so_response_cache_[so].clear();
   if (fault_injector_ != nullptr) {
@@ -759,13 +742,7 @@ void Snoopy::RecoverLoadBalancer(uint32_t lb) {
   const LoadBalancerConfig lbc = lbs_[lb]->config();
   lbs_[lb] = std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]);
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    std::array<uint8_t, 32> key;
-    {
-      std::lock_guard<std::mutex> g(rng_mu_);
-      key = rng_.NextKey32();
-    }
-    links_[lb][so]->Rekey(key);
-    ++link_generation_[lb][so];
+    RekeyLink(lb, so);
   }
   if (fault_injector_ != nullptr) {
     fault_injector_->Restart("lb/" + std::to_string(lb));
@@ -775,6 +752,16 @@ void Snoopy::RecoverLoadBalancer(uint32_t lb) {
     metrics_->GetCounter("snoopy_recoveries_total", {{"component", "lb/" + std::to_string(lb)}})
         .Increment();
   }
+}
+
+void Snoopy::RekeyLink(uint32_t lb, uint32_t so) {
+  std::array<uint8_t, 32> key;
+  {
+    std::lock_guard<std::mutex> g(rng_mu_);
+    key = rng_.NextKey32();
+  }
+  links_[lb][so]->Rekey(key);
+  ++link_generation_[lb][so];
 }
 
 // --- Striped redundancy, permanent loss, and background repair ----------------------
@@ -893,7 +880,8 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
       const auto it = store.find(m.owner);
       if (it == store.end() || it->second.seal_counter != m.seal_counter ||
           it->second.chunk_index != m.chunk_index ||
-          m.offset + m.len > it->second.payload.size()) {
+          m.offset > it->second.payload.size() ||
+          m.len > it->second.payload.size() - m.offset) {
         // Addressing mismatch (stale manifest or corrupted request): retried, and the
         // repair coordinator replans from fresh manifests if it keeps failing.
         throw IntegrityError(endpoint);
@@ -1225,13 +1213,7 @@ void Snoopy::CompleteRepair(uint32_t so) {
 
   // The spare enclave has no channel state: fresh sessions with every load balancer.
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    std::array<uint8_t, 32> key;
-    {
-      std::lock_guard<std::mutex> g(rng_mu_);
-      key = rng_.NextKey32();
-    }
-    links_[lb][so]->Rekey(key);
-    ++link_generation_[lb][so];
+    RekeyLink(lb, so);
   }
   so_response_cache_[so].clear();
   so_executed_lbs_[so].clear();
@@ -1640,18 +1622,8 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     lbc.num_suborams = new_num_suborams;
     new_lbs.push_back(std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]));
   }
-  std::vector<std::vector<std::unique_ptr<SecureLink>>> new_links(num_lbs);
-  for (uint32_t lb = 0; lb < num_lbs; ++lb) {
-    for (uint32_t so = 0; so < new_num_suborams; ++so) {
-      const Aead::Key key = lb_enclaves_[lb]->EstablishChannel(new_so_enclaves[so]->quote());
-      const Aead::Key check = new_so_enclaves[so]->EstablishChannel(lb_enclaves_[lb]->quote());
-      if (key != check) {
-        throw std::runtime_error("channel key mismatch after attestation");
-      }
-      new_links[lb].push_back(
-          std::make_unique<SecureLink>(key, lb * new_num_suborams + so));
-    }
-  }
+  std::vector<std::vector<std::unique_ptr<SecureLink>>> new_links =
+      AttestLinks(lb_enclaves_, new_so_enclaves);
   check_abort();
 
   // Commit.

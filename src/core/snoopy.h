@@ -288,6 +288,9 @@ class Snoopy {
   void RecoverSubOram(uint32_t so, const std::vector<LoadBalancer::PreparedEpoch>* prepared,
                       uint32_t lb_limit);
   void RecoverLoadBalancer(uint32_t lb);
+  // Fresh session on link (lb, so): draws the key from rng_ under rng_mu_, rekeys
+  // both ends and bumps the link generation so stale sealed bytes are refused.
+  void RekeyLink(uint32_t lb, uint32_t so);
   void SealSubOramState(uint32_t so);
   // Seals every partition, then distributes every partition's stripes (the ordering
   // rule of DistributeStripes). Used where all partitions are known healthy: after

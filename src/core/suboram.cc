@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
 
 #include "src/enclave/trace.h"
@@ -46,8 +44,8 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   }
 
   // Step spans: every boundary below is a public point in the batch pipeline (the
-  // batch size is the padded f(R, S); the object count and thread split are public
-  // deployment facts), so the spans reveal nothing the schedule does not. Spans
+  // batch size is the padded f(R, S); the object count is a public deployment
+  // fact), so the spans reveal nothing the schedule does not. Spans
   // open/close *outside* the oblivious regions; only their RAII lifetimes bracket
   // region code.
   TraceSpan distinct_trace(&Tracer::Global(), "step", "suboram_distinct", config_.id);
@@ -95,105 +93,52 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   // so that neither the match nor the request type is revealed. Each slot's header is
   // read once into three secret masks, then one bucket kernel applies all of them with
   // the object's value carried in registers (KernelCondScanBucket, src/obl/kernels.h).
-  //
-  // With scan_threads > 1 (Figure 13b) the object range is split into chunks that run
-  // on the shared WorkPool. Distinct objects can share a hash bucket, and the
-  // oblivious compare-and-set rewrites every scanned slot unconditionally, so when
-  // chunks run concurrently bucket access is serialized with per-bucket locks. Lock
-  // *indices* derive from object keys, which are public identities, so locking adds
-  // no leakage beyond the bucket trace itself.
+  // The scan runs on the calling thread: scaling comes from more subORAMs (Figure 9a),
+  // each one a task of the shared epoch pool.
   const size_t stride = table.record_bytes();
   const size_t n_objects = store_.size();
-  const int threads =
-      config_.scan_threads > 1 && n_objects >= 1024 ? config_.scan_threads : 1;
-  // Pool width: clamped to the calling pool task's budget (no-op outside the pool).
-  // It decides only how many chunks run at once; chunk boundaries and the trace
-  // marker below depend on `threads` alone.
-  const int width = PoolClampedThreads(threads);
   const size_t max_slots = std::max(table.params().z1, table.params().z2);
-  std::vector<std::mutex> tier1_locks(width > 1 ? table.params().bins1 : 0);
-  std::vector<std::mutex> tier2_locks(
-      width > 1 && table.params().bins2 > 0 ? table.params().bins2 : 0);
-
-  // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
-  // ct-public: i k slots begin end stride value_size max_slots width
-  // ct-public: obj_key table tier1_locks tier2_locks
-  auto scan_range = [&](size_t begin, size_t end) {
-    std::vector<ScanSlotMasks> masks(max_slots);
-    for (size_t i = begin; i < end; ++i) {
-      TraceRecord(TraceOp::kRead, i);
-      uint8_t* obj = store_.Record(i);
-      uint64_t obj_key;
-      std::memcpy(&obj_key, obj, 8);
-      uint8_t* obj_value = obj + 8;
-
-      auto apply = [&](std::span<uint8_t> bucket) {
-        const size_t slots = bucket.size() / stride;
-        if (slots == 0) {
-          return;  // a one-tier table hands back an empty second bucket
-        }
-        for (size_t k = 0; k < slots; ++k) {
-          const auto* req = reinterpret_cast<const RequestHeader*>(bucket.data() + k * stride);
-          // Request contents (key, op, dummy flag, access decision) are secret; the
-          // object key being scanned is public (the scan visits all of them).
-          const SecretBool match = (SecretU64(req->key) == obj_key) &
-                                   !SecretBool::FromWord(req->dummy);
-          const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
-          const SecretBool granted = SecretBool::FromWord(req->granted);
-          // Write path: object <- request payload (if a granted write matches).
-          // Response path: request slot <- pre-state (for reads and writes alike).
-          // Access control (section D): a denied request's response is null.
-          masks[k] = ScanSlotMasks{(match & is_write & granted).mask(), match.mask(),
-                                   (match & !granted).mask()};
-        }
-        KernelCondScanBucket(masks.data(), obj_value, bucket.data() + RequestBatch::kHeaderBytes,
-                             slots, stride, value_size);
-      };
-      if (width > 1) {
-        {
-          std::lock_guard<std::mutex> guard(
-              tier1_locks[table.Tier1BucketIndex(obj_key)]);
-          apply(table.Tier1Bucket(obj_key));
-        }
-        if (!tier2_locks.empty()) {
-          std::lock_guard<std::mutex> guard(
-              tier2_locks[table.Tier2BucketIndex(obj_key)]);
-          apply(table.Tier2Bucket(obj_key));
-        }
-      } else {
-        apply(table.Tier1Bucket(obj_key));
-        apply(table.Tier2Bucket(obj_key));
-      }
-    }
-  };
-  // SNOOPY_OBLIVIOUS_END(suboram_scan)
 
   TraceSpan scan_trace(&Tracer::Global(), "step", "suboram_scan", config_.id);
   scan_trace.SetArg("objects", n_objects);
-  scan_trace.SetArg("scan_threads", static_cast<uint64_t>(threads));
-  if (threads <= 1) {
-    scan_range(0, n_objects);
-  } else {
-    // Parallel path. The scan is split into `threads` fixed-size chunks whose
-    // boundaries depend only on (n_objects, threads) -- both public -- so the split
-    // itself leaks nothing. A marker event records the parallel structure; the chunk
-    // range is then halved recursively over the pool (TraceForkJoinHalves, as the
-    // bitonic sort does), which buffers each half's trace events and merges them in
-    // chunk order, reproducing the sequential kRead sequence whatever the width.
-    TraceRecord(TraceOp::kParallelScan, static_cast<uint64_t>(threads), n_objects);
-    const size_t chunk = (n_objects + threads - 1) / threads;
-    const std::function<void(size_t, size_t, int)> run_chunks = [&](size_t lo, size_t hi,
-                                                                    int w) {
-      if (hi - lo == 1) {
-        scan_range(std::min(lo * chunk, n_objects), std::min((lo + 1) * chunk, n_objects));
-        return;
+
+  // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
+  // ct-public: i k slots n_objects stride value_size max_slots
+  // ct-public: obj_key table
+  std::vector<ScanSlotMasks> masks(max_slots);
+  for (size_t i = 0; i < n_objects; ++i) {
+    TraceRecord(TraceOp::kRead, i);
+    uint8_t* obj = store_.Record(i);
+    uint64_t obj_key;
+    std::memcpy(&obj_key, obj, 8);
+    uint8_t* obj_value = obj + 8;
+
+    auto apply = [&](std::span<uint8_t> bucket) {
+      const size_t slots = bucket.size() / stride;
+      if (slots == 0) {
+        return;  // a one-tier table hands back an empty second bucket
       }
-      const size_t mid = lo + (hi - lo) / 2;
-      internal::TraceForkJoinHalves([&] { run_chunks(lo, mid, w / 2); },
-                                    [&] { run_chunks(mid, hi, w - w / 2); }, w);
+      for (size_t k = 0; k < slots; ++k) {
+        const auto* req = reinterpret_cast<const RequestHeader*>(bucket.data() + k * stride);
+        // Request contents (key, op, dummy flag, access decision) are secret; the
+        // object key being scanned is public (the scan visits all of them).
+        const SecretBool match = (SecretU64(req->key) == obj_key) &
+                                 !SecretBool::FromWord(req->dummy);
+        const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
+        const SecretBool granted = SecretBool::FromWord(req->granted);
+        // Write path: object <- request payload (if a granted write matches).
+        // Response path: request slot <- pre-state (for reads and writes alike).
+        // Access control (section D): a denied request's response is null.
+        masks[k] = ScanSlotMasks{(match & is_write & granted).mask(), match.mask(),
+                                 (match & !granted).mask()};
+      }
+      KernelCondScanBucket(masks.data(), obj_value, bucket.data() + RequestBatch::kHeaderBytes,
+                           slots, stride, value_size);
     };
-    run_chunks(0, static_cast<size_t>(threads), width);
+    apply(table.Tier1Bucket(obj_key));
+    apply(table.Tier2Bucket(obj_key));
   }
+  // SNOOPY_OBLIVIOUS_END(suboram_scan)
 
   scan_trace.End();
 

@@ -41,11 +41,6 @@ struct SubOramConfig {
   // path). Both OHT sorts are bucket-eligible: the batch carries distinct keys and
   // bins are fresh keyed hashes, so the bin multiset is simulatable.
   SortStrategy sort_strategy = SortStrategy::kBitonic;
-  // Enclave threads for the linear scan (paper Figure 13b). The object range is split
-  // into this many chunks, run on the shared WorkPool at most this wide (clamped to the
-  // calling pool task's thread budget); hash-table buckets are guarded by per-bucket
-  // locks since the oblivious compare-and-set writes every scanned slot unconditionally.
-  int scan_threads = 1;
   // Verify the batch-distinctness precondition (Definition 2) before processing. The
   // load balancer guarantees it; standalone users should leave the check on.
   bool check_distinct = true;

@@ -15,7 +15,7 @@
 // thread). Worker threads NEVER touch it directly; instead each worker installs a
 // TraceThreadBuffer redirecting its events into a thread-local sink, and the owner
 // merges the sinks back with TraceAppendCurrent in a *deterministic* order keyed by
-// public ids (load-balancer id, subORAM id, chunk index, recursion position). Because
+// public ids (load-balancer id, subORAM id, recursion position). Because
 // the merge keys are public and the per-sink event order is sequential, the merged
 // trace of a parallel run is byte-identical to the sequential run's trace -- which is
 // exactly what the trace-identity tests pin. See DESIGN.md "Threading model".
@@ -43,7 +43,7 @@ enum class TraceOp : uint8_t {
   kMsgRecv = 8,     // message of b bytes from endpoint a
   kEpoch = 9,       // epoch boundary marker
   kDeclassify = 10,  // Secret<T>::Declassify at site a (FNV-1a of the site label)
-  kParallelScan = 11,  // parallel region marker: a workers over b items (public only)
+  // 11 is retired (a parallel-scan marker); do not reuse it.
 };
 
 struct TraceEvent {

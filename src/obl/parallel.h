@@ -52,9 +52,9 @@ int CurrentThreadBudget();
 // Clamps a configured thread count to the caller's context: inside a pool task the
 // result never exceeds the task's thread budget (min 1); outside the pool the
 // configured value passes through unchanged. Clamp-only by design -- budgets never
-// *raise* a width, because widths feed public trace metadata (e.g. the parallel-scan
-// marker records its width) and raising them per-context would make traces vary with
-// the thread layout.
+// *raise* a width, because widths feed public span metadata (e.g. the sort span's
+// tile size is derived from its width) and raising them per-context would make that
+// metadata vary with the thread layout.
 int PoolClampedThreads(int configured);
 
 // RAII budget scope for the calling thread; nests (the previous budget is restored).

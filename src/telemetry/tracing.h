@@ -26,10 +26,10 @@
 // deterministic VirtualClock under fault injection).
 //
 // The ring buffers are single-writer lock-free: the owning worker pushes with plain
-// stores and publishes with one atomic release per event; the ProfilingSampler
-// reads only the published size (acquire), and the merge happens after the worker
-// quiesced. A full ring drops (and counts) rather than blocks or reallocates, so
-// tracing can never add a lock or an allocation to a worker's steady state.
+// stores and publishes with one atomic release per event; readers see only the
+// published size (acquire), and the merge happens after the worker quiesced. A full
+// ring drops (and counts) rather than blocks or reallocates, so tracing can never
+// add a lock or an allocation to a worker's steady state.
 //
 // Everything callable from oblivious headers (Global(), Record, TraceSpan) is
 // inline so snoopy_obl users need no extra objects beyond snoopy_telemetry, which
@@ -40,13 +40,11 @@
 #define SNOOPY_SRC_TELEMETRY_TRACING_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/telemetry/metrics.h"
@@ -394,9 +392,9 @@ struct WorkerPhaseStats {
 // Pre-resolved handles for the pool metrics RecordWorkerPhase writes per phase.
 // Name-keyed registry lookups build a labels map and walk the registry index on
 // every call; at three phases per epoch that cost shows up in the <1% telemetry
-// overhead gate. Callers that run many epochs resolve once (per registry, per
-// phase) and pass the handle instead. Registry references stay stable for the
-// registry's lifetime (see DESIGN.md), so caching these pointers is safe.
+// overhead gate, so callers resolve once (per registry, per phase) and pass the
+// handles. Registry references stay stable for the registry's lifetime (see
+// DESIGN.md), so caching these pointers is safe.
 struct PoolPhaseMetrics {
   Counter* phases_total = nullptr;
   Counter* tasks_total = nullptr;
@@ -413,52 +411,15 @@ struct PoolPhaseMetrics {
   static PoolPhaseMetrics Resolve(MetricsRegistry* metrics, const char* phase);
 };
 
-// Exports one phase-pool run: always-on counters/histograms into `metrics` (null
-// ok) and per-worker "pool" spans into `tracer` (null/disabled ok), emitted in
-// worker-id order so traces stay schedule-independent in *sequence* (the recorded
-// durations are wall-clock facts and naturally vary). Defined in tracing.cc.
-void RecordWorkerPhase(Tracer* tracer, MetricsRegistry* metrics, const char* phase,
-                       size_t workers, double phase_start_s, double phase_end_s,
-                       const std::vector<WorkerPhaseStats>& stats);
-
-// Hot-path variant taking pre-resolved metric handles (null `metrics` skips the
-// metrics writes entirely). The name-keyed overload above delegates here.
+// Exports one phase-pool run: always-on counters/histograms into the pre-resolved
+// `metrics` handles (null skips the metrics writes) and per-worker "pool" spans into
+// `tracer` (null/disabled ok), emitted in worker-id order so traces stay
+// schedule-independent in *sequence* (the recorded durations are wall-clock facts
+// and naturally vary). Defined in tracing.cc.
 void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
                        const char* phase, size_t workers, double phase_start_s,
                        double phase_end_s,
                        const std::vector<WorkerPhaseStats>& stats);
-
-// Background sampler: a thread that periodically snapshots tracer and registry
-// health into time-series gauges (snoopy_sampler_*), the ScaleStore
-// ProfilingThread idiom. Sampling reads only atomics and registry internals —
-// never application state — so it is safe to run concurrently with epochs.
-class ProfilingSampler {
- public:
-  ProfilingSampler(MetricsRegistry* registry, Tracer* tracer,
-                   double interval_s = 0.01);
-  ~ProfilingSampler();
-
-  ProfilingSampler(const ProfilingSampler&) = delete;
-  ProfilingSampler& operator=(const ProfilingSampler&) = delete;
-
-  void Start();
-  void Stop();  // idempotent; joins the thread
-  uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
-
- private:
-  void Loop();
-  void SampleOnce();
-
-  MetricsRegistry* registry_;
-  Tracer* tracer_;
-  double interval_s_;
-  std::atomic<uint64_t> samples_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::thread thread_;
-};
 
 }  // namespace snoopy
 

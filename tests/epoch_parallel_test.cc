@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -240,6 +241,73 @@ TEST(EpochParallel, ThreadCountBeyondWorkIsHarmless) {
   ASSERT_EQ(got.size(), 8u);
   for (uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(got[i], Val(i * 3 % 32)) << "seq=" << i;
+  }
+}
+
+// A task that throws does not stop its siblings at any width: with subORAM 0's
+// recovery refused as a rollback, RunEpoch surfaces RollbackDetectedError at every
+// epoch_threads, and subORAMs 1 and 2 still apply this epoch's writes, leaving the
+// same state whatever the width.
+TEST(EpochParallel, FailingTaskLeavesSiblingsIdenticalAtEveryWidth) {
+  std::vector<std::vector<uint8_t>> baseline;
+  for (const int threads : {1, 2, 4}) {
+    SnoopyConfig cfg;
+    cfg.num_suborams = 3;
+    cfg.value_size = kValueSize;
+    cfg.lambda = 40;
+    cfg.epoch_threads = threads;
+    auto store = std::make_unique<Snoopy>(cfg, 11);
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+    for (uint64_t k = 0; k < 48; ++k) {
+      objects.emplace_back(k, Val(k));
+    }
+    store->Initialize(objects);
+    FaultInjector injector(11);
+    store->set_fault_injector(&injector);
+
+    // Capture the snapshot sealed at this boundary, then let a later epoch bump the
+    // trusted counter past it.
+    store->SubmitWrite(1, 1, 0, Val(0, 1));
+    store->RunEpoch();
+    const std::vector<uint8_t> stale = store->suboram_snapshot(0);
+    store->SubmitWrite(1, 2, 0, Val(0, 2));
+    store->RunEpoch();
+
+    // Malicious host replays the superseded snapshot to a crashed subORAM 0, while
+    // this epoch writes to every partition.
+    store->host_replace_snapshot(0, stale);
+    injector.MarkCrashed("suboram/0");
+    std::vector<uint64_t> written;
+    uint64_t seq = 3;
+    for (uint64_t k = 1; k < 48; k += 5) {
+      store->SubmitWrite(1, seq++, k, Val(k, 7));
+      written.push_back(k);
+    }
+    EXPECT_THROW(store->RunEpoch(), RollbackDetectedError) << "threads=" << threads;
+
+    std::vector<std::vector<uint8_t>> state;
+    size_t landed = 0;
+    for (uint32_t so = 1; so < 3; ++so) {
+      const ByteSlab slab = store->suboram(so).ExportSlab();
+      for (size_t i = 0; i < slab.size(); ++i) {
+        uint64_t key;
+        std::memcpy(&key, slab.Record(i), 8);
+        const std::vector<uint8_t> value(slab.Record(i) + 8,
+                                         slab.Record(i) + 8 + kValueSize);
+        const bool was_written =
+            std::find(written.begin(), written.end(), key) != written.end();
+        EXPECT_EQ(value, Val(key, was_written ? 7 : 0))
+            << "threads=" << threads << " so=" << so << " key=" << key;
+        landed += was_written ? 1 : 0;
+      }
+      state.emplace_back(slab.data(), slab.data() + slab.size() * slab.record_bytes());
+    }
+    EXPECT_GT(landed, 0u) << "no write landed on subORAMs 1 and 2";
+    if (baseline.empty()) {
+      baseline = state;
+    } else {
+      EXPECT_EQ(state, baseline) << "threads=" << threads;
+    }
   }
 }
 

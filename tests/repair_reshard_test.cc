@@ -130,6 +130,37 @@ TEST(Striping, SealDistributesStripesToSuccessorPeers) {
   EXPECT_GT(store->host_stripe(1, 0)->seal_counter, before);
 }
 
+// A host-supplied fetch whose offset + len wraps past 2^64 is refused instead of
+// being served from memory before the stored chunk. A well-formed fetch of the same
+// stripe is answered first, so the refusal comes from the bounds check alone.
+TEST(Striping, FetchWithWrappingOffsetIsRefused) {
+  auto store = std::make_unique<Snoopy>(StripedConfig(1, 4, 2, true, 2), 5);
+  store->Initialize({{1, Val(0)}, {2, Val(0)}, {3, Val(0)}, {4, Val(0)}});
+  const uint32_t owner = 0;
+  const uint32_t peer = 1;
+  const Snoopy::HostStripe* stripe = store->host_stripe(peer, owner);
+  ASSERT_NE(stripe, nullptr);
+  ASSERT_GE(stripe->payload.size(), 16u);
+  // Stripe request frame: op(1) owner(4) seal_counter(8) chunk_index(4)
+  // chunk_count(4) blob_len(8) offset(8) len(8) digest(32); op 2 is a fetch.
+  auto fetch = [&](uint64_t offset, uint64_t len) {
+    std::vector<uint8_t> req(77, 0);
+    req[0] = 2;
+    std::memcpy(req.data() + 1, &owner, 4);
+    std::memcpy(req.data() + 5, &stripe->seal_counter, 8);
+    std::memcpy(req.data() + 13, &stripe->chunk_index, 4);
+    std::memcpy(req.data() + 29, &offset, 8);
+    std::memcpy(req.data() + 37, &len, 8);
+    return store->network_mutable().Call("suboram/" + std::to_string(owner),
+                                         "suboram/" + std::to_string(peer) + "/stripe",
+                                         req);
+  };
+  const std::vector<uint8_t> ok = fetch(0, 16);
+  ASSERT_EQ(ok.size(), 32u + 16u);
+  EXPECT_TRUE(std::equal(ok.begin() + 32, ok.end(), stripe->payload.begin()));
+  EXPECT_THROW(fetch(~uint64_t{0} - 7, 16), IntegrityError);  // offset 2^64 - 8
+}
+
 // The stripe each peer holds is byte-for-byte the owner's sealed snapshot (replication)
 // or the chunk cut from it by hand: equal ceil(len / replicas)-byte data chunks, the
 // last zero-padded past the end of the blob, then their XOR on the extra peer.

@@ -201,105 +201,51 @@ TEST(SubOram, TraceIndependentOfRequestContents) {
   EXPECT_EQ(d1, d2);
 }
 
-TEST(SubOram, ParallelScanMatchesSequential) {
-  // scan_threads > 1 splits the object range across threads with per-bucket locking
-  // (Figure 13b); results must be bit-identical to the sequential scan.
-  for (const int threads : {1, 2, 3}) {
-    SubOramConfig cfg;
-    cfg.value_size = kValueSize;
-    cfg.lambda = 40;
-    cfg.scan_threads = threads;
-    SubOram so(cfg, /*seed=*/7);  // same seed: same per-batch hash keys
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
-    for (uint64_t k = 0; k < 2048; ++k) {
-      objects.emplace_back(k, ValueFor(k));
-    }
-    so.Initialize(objects);
-    std::vector<std::tuple<uint64_t, uint8_t, std::vector<uint8_t>>> reqs;
-    for (uint64_t i = 0; i < 64; ++i) {
-      if (i % 3 == 0) {
-        reqs.push_back({i * 31 % 2048, kOpWrite, ValueFor(i, 5)});
-      } else {
-        reqs.push_back({(i * 31 + 1) % 2048, kOpRead, {}});
-      }
-    }
-    RequestBatch out = so.ProcessBatch(MakeBatch(reqs));
-    auto by_key = ResponsesByKey(out);
-    for (const auto& [key, op, value] : reqs) {
-      ASSERT_EQ(by_key[key], ValueFor(key)) << "threads=" << threads << " key=" << key;
-    }
-    // Writes landed.
-    std::vector<uint8_t> v;
-    ASSERT_TRUE(so.DebugRead(0, &v));
-    EXPECT_EQ(v, ValueFor(0, 5)) << "threads=" << threads;
+SubOram MakeLargeStore() {
+  SubOramConfig cfg;
+  cfg.value_size = kValueSize;
+  cfg.lambda = 40;
+  SubOram so(cfg, /*seed=*/7);  // same seed: same per-batch hash keys
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < 2048; ++k) {
+    objects.emplace_back(k, ValueFor(k));
   }
+  so.Initialize(objects);
+  return so;
 }
 
-TEST(SubOram, ParallelScanTraceMatchesSequentialPlusMarker) {
-  // Regression: the parallel scan used to drop its trace events entirely (workers
-  // wrote to nothing), and the old equality checks passed on empty-vs-empty. The
-  // parallel trace must now be the sequential trace plus exactly one kParallelScan
-  // marker (thread count and object count -- both public) at the scan's start.
-  auto trace_for = [](int threads) {
-    SubOramConfig cfg;
-    cfg.value_size = kValueSize;
-    cfg.lambda = 40;
-    cfg.scan_threads = threads;
-    SubOram so(cfg, /*seed=*/7);  // same seed: same per-batch hash keys
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
-    for (uint64_t k = 0; k < 2048; ++k) {
-      objects.emplace_back(k, ValueFor(k));
-    }
-    so.Initialize(objects);
-    RequestBatch batch = MakeBatch({{5, kOpRead, {}}, {42, kOpWrite, ValueFor(42, 1)}});
-    TraceScope scope;
-    so.ProcessBatch(std::move(batch));
-    return scope.Events();
-  };
-  const std::vector<TraceEvent> sequential = trace_for(1);
-  std::vector<TraceEvent> parallel = trace_for(3);
-  ASSERT_FALSE(sequential.empty());
-  size_t markers = 0;
-  size_t marker_at = 0;
-  for (size_t i = 0; i < parallel.size(); ++i) {
-    if (parallel[i].op == TraceOp::kParallelScan) {
-      ++markers;
-      marker_at = i;
+TEST(SubOram, ScanOverLargeStoreAppliesMixedBatch) {
+  // A 2048-object store and a batch mixing reads and writes: every response carries
+  // the pre-state and every write lands.
+  SubOram so = MakeLargeStore();
+  std::vector<std::tuple<uint64_t, uint8_t, std::vector<uint8_t>>> reqs;
+  for (uint64_t i = 0; i < 64; ++i) {
+    if (i % 3 == 0) {
+      reqs.push_back({i * 31 % 2048, kOpWrite, ValueFor(i, 5)});
+    } else {
+      reqs.push_back({(i * 31 + 1) % 2048, kOpRead, {}});
     }
   }
-  ASSERT_EQ(markers, 1u) << "expected exactly one parallel-scan marker";
-  EXPECT_EQ(parallel[marker_at].a, 3u);     // worker count
-  EXPECT_EQ(parallel[marker_at].b, 2048u);  // objects scanned
-  parallel.erase(parallel.begin() + static_cast<ptrdiff_t>(marker_at));
-  EXPECT_TRUE(NonVacuousTraceEq(sequential, parallel))
-      << "parallel scan events diverged from (or dropped relative to) the sequential "
-      << "scan";
-  // The sequential trace carries no marker.
-  for (const TraceEvent& e : sequential) {
-    ASSERT_NE(e.op, TraceOp::kParallelScan);
+  RequestBatch out = so.ProcessBatch(MakeBatch(reqs));
+  auto by_key = ResponsesByKey(out);
+  for (const auto& [key, op, value] : reqs) {
+    ASSERT_EQ(by_key[key], ValueFor(key)) << "key=" << key;
   }
+  std::vector<uint8_t> v;
+  ASSERT_TRUE(so.DebugRead(0, &v));
+  EXPECT_EQ(v, ValueFor(0, 5));
 }
 
-TEST(SubOram, ParallelScanInsideBudgetOnePoolTask) {
-  // Inside an epoch the scan runs as a WorkPool task. With a thread budget of 1 the
-  // chunks must run one after another on the task's own thread (no nested spawn, no
-  // debug-build abort), yet the trace keeps the scan_threads = 3 chunk structure and
-  // marker, and the responses match a top-level 3-thread scan.
+TEST(SubOram, ScanInsideBudgetOnePoolTask) {
+  // Inside an epoch the whole batch runs as one WorkPool task under a thread budget
+  // of 1: it must run on the task's own thread (no nested spawn, no debug-build
+  // abort) with the same trace and responses as a top-level call.
   struct Result {
     std::vector<TraceEvent> trace;
     std::vector<uint8_t> responses;
   };
   auto run = [](bool inside_pool) {
-    SubOramConfig cfg;
-    cfg.value_size = kValueSize;
-    cfg.lambda = 40;
-    cfg.scan_threads = 3;
-    SubOram so(cfg, /*seed=*/7);  // same seed: same per-batch hash keys
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
-    for (uint64_t k = 0; k < 2048; ++k) {
-      objects.emplace_back(k, ValueFor(k));
-    }
-    so.Initialize(objects);
+    SubOram so = MakeLargeStore();
     RequestBatch batch = MakeBatch({{5, kOpRead, {}},
                                     {42, kOpWrite, ValueFor(42, 1)},
                                     {1999, kOpRead, {}}});
@@ -329,11 +275,6 @@ TEST(SubOram, ParallelScanInsideBudgetOnePoolTask) {
   const Result pooled = run(true);
   EXPECT_TRUE(NonVacuousTraceEq(top_level.trace, pooled.trace));
   EXPECT_EQ(top_level.responses, pooled.responses);
-  size_t markers = 0;
-  for (const TraceEvent& e : pooled.trace) {
-    markers += e.op == TraceOp::kParallelScan ? 1 : 0;
-  }
-  EXPECT_EQ(markers, 1u);
 }
 
 TEST(SubOram, EmptyBatchIsFine) {

@@ -218,14 +218,14 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 
 echo "== TSan build + threading-sensitive tests =="
 # The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
-# the bucket sort's fork-joined routing/cleanup, parallel subORAM scan, and the
-# parallel epoch executor.
+# the bucket sort's fork-joined routing/cleanup, the subORAM batch inside a pool
+# task, and the parallel epoch executor.
 cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
   scaling_regression_test
 ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '(BitonicSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|ScalingRegression)'
+  -R '(BitonicSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|TracerThreadBuffer|WorkPool|ScalingRegression)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # Crash/loss recovery exercises the cross-thread paths deliberately (phase-2 workers
